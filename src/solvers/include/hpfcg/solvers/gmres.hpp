@@ -9,7 +9,6 @@
 // j+1 inner products, so the merge traffic per iteration grows linearly
 // with the restart length where CG's stays constant.
 
-#include <cstddef>
 #include <span>
 
 #include "hpfcg/solvers/options.hpp"
@@ -17,12 +16,6 @@
 #include "hpfcg/sparse/csr.hpp"
 
 namespace hpfcg::solvers {
-
-/// Restart-length control on top of the shared options.
-struct GmresOptions {
-  SolveOptions base{};
-  std::size_t restart = 30;  ///< m: Krylov basis size between restarts
-};
 
 /// Matrix-free restarted GMRES.  Works for any nonsingular A (not just
 /// SPD).  `x` carries the initial guess in and the solution out.

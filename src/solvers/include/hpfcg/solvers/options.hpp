@@ -15,13 +15,20 @@ struct SolveOptions {
   double rel_tolerance = 1e-10;
   /// Record ||r||_2 after every iteration (residual_history).
   bool track_residuals = false;
-  /// Mid-solve load rebalancing (distributed cg/pcg/cg_fused only): every
-  /// this many iterations the solver invokes its RebalanceHook, which may
-  /// migrate the matrix onto new cut points and return the new row
-  /// distribution; the solver then re-aligns its live vectors with
-  /// hpf::redistribute.  0 (default) disables the hook entirely — the
-  /// solve is bit-identical to one that never heard of rebalancing.
+  /// Mid-solve load rebalancing (distributed cg/cg_fused/pcg/pcg_fused
+  /// only): every this many iterations the solver invokes its
+  /// RebalanceHook, which may migrate the matrix onto new cut points and
+  /// return the new row distribution; the solver then re-aligns its live
+  /// vectors with hpf::redistribute.  0 (default) disables the hook
+  /// entirely — the solve is bit-identical to one that never heard of
+  /// rebalancing.
   std::size_t rebalance_every = 0;
+};
+
+/// GMRES(m): restart-length control on top of the shared options.
+struct GmresOptions {
+  SolveOptions base{};
+  std::size_t restart = 30;  ///< m: Krylov basis size between restarts
 };
 
 /// Outcome of an iterative solve.

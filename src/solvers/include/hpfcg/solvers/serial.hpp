@@ -1,8 +1,11 @@
 #pragma once
-// Serial reference implementations of the Section 2 solver family.
+// Serial entry points of the Section 2 solver family.
 //
-// These are the ground truth the distributed solvers are verified against,
-// and the single-processor baselines of the benchmarks:
+// Each method's recurrence is written once (krylov.hpp); these entry points
+// run it on spans, and the distributed ones (dist_solvers.hpp) run the same
+// body on distributed vectors.  They are the single-processor baselines of
+// the benchmarks and the comparison side of the distributed tests; the
+// independent oracle for both is the dense direct solve (dense_direct.hpp):
 //   cg        — classic non-preconditioned Conjugate Gradient (the paper's
 //               Section 2 pseudo-code);
 //   pcg       — preconditioned CG (Jacobi or SSOR, preconditioner.hpp);
@@ -39,9 +42,8 @@ SolveResult cg(const sparse::Csr<double>& a, std::span<const double> b,
 /// (w,r) with w = A r — are computed back to back and can be merged in ONE
 /// collective in the distributed version (cg_fused_dist).  alpha is updated
 /// by recurrence instead of from (p, A p); the price is one extra matvec at
-/// start-up and one extra recurrence vector s = A p.  This serial form is
-/// the bitwise ground truth the distributed fused solver is verified
-/// against (same recurrence, only the reduction order differs).
+/// start-up and one extra recurrence vector s = A p.  cg_fused_dist runs
+/// the same body; only the merge's reduction order differs.
 SolveResult cg_fused(const MatVec& a, std::span<const double> b,
                      std::span<double> x, const SolveOptions& opts = {});
 SolveResult cg_fused(const sparse::Csr<double>& a, std::span<const double> b,
@@ -57,8 +59,8 @@ SolveResult pcg(const sparse::Csr<double>& a, const PrecApply& m_inv,
 
 /// Chronopoulos–Gear preconditioned CG: one fused group of three inner
 /// products — (r,u), (w,u), (r,r) with u = M^{-1} r, w = A u — per
-/// iteration, against pcg()'s three separate merges.  Serial ground truth
-/// for pcg_fused_dist.
+/// iteration, against pcg()'s three separate merges (the body of
+/// pcg_fused_dist too).
 SolveResult pcg_fused(const MatVec& a, const PrecApply& m_inv,
                       std::span<const double> b, std::span<double> x,
                       const SolveOptions& opts = {});
@@ -92,7 +94,7 @@ SolveResult bicgstab(const sparse::Csr<double>& a, std::span<const double> b,
 /// product for the NEXT iteration rides along with the convergence norm.
 /// The s-norm early exit moves after the second matvec (one extra matvec
 /// in the final iteration only); iterates are otherwise identical to
-/// bicgstab().  Serial ground truth for bicgstab_fused_dist.
+/// bicgstab() (the body of bicgstab_fused_dist too).
 SolveResult bicgstab_fused(const MatVec& a, std::span<const double> b,
                            std::span<double> x, const SolveOptions& opts = {});
 SolveResult bicgstab_fused(const sparse::Csr<double>& a,

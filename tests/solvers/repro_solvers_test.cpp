@@ -3,19 +3,23 @@
 // rebalance schedules — the NP-dependent rounding drift the mode exists to
 // remove.  The matvec is row-wise (each row dots its entries in fixed k
 // order on whichever rank owns it), so once the reductions are exact the
-// whole trajectory is a pure function of the problem.
+// whole trajectory is a pure function of the problem.  The same holds for
+// every other distributed method (ReproNpInvarianceTest).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "hpfcg/hpf/intrinsics.hpp"
 #include "hpfcg/hpf/redistribute.hpp"
 #include "hpfcg/repro/repro.hpp"
+#include "hpfcg/solvers/dist_gmres.hpp"
 #include "hpfcg/solvers/dist_solvers.hpp"
 #include "hpfcg/solvers/rebalance.hpp"
 #include "hpfcg/sparse/dist_csr.hpp"
@@ -195,5 +199,120 @@ TEST_F(ReproSolversTest, RebalanceHookStillMigratesAndConverges) {
   });
   EXPECT_GE(migrations.load(), 1u);
 }
+
+/// Nonsymmetric upwind-convection matrix (the GMRES test system).
+sp::Csr<double> upwind_matrix() {
+  const std::size_t n = 80;
+  sp::Coo<double> coo(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    coo.add(i, i, 4.0);
+    if (i + 1 < n) coo.add(i, i + 1, -1.0);
+    if (i > 0) coo.add(i, i - 1, -2.5);
+  }
+  return sp::Csr<double>::from_coo(std::move(coo));
+}
+
+sp::Csr<double> spd_matrix() { return sp::random_spd(48, 5, 91); }
+
+/// One distributed method run over a row-wise DistCsr operator `a` and a
+/// Jacobi preconditioner `m`.
+struct DistMethod {
+  const char* name;
+  sp::Csr<double> (*matrix)();
+  std::function<sv::SolveResult(const sv::DistOp<double>& a,
+                                const sv::DistPrec<double>& m,
+                                const DistributedVector<double>& b,
+                                DistributedVector<double>& x,
+                                const sv::SolveOptions& opts)>
+      solve;
+  // Printed as the parameter, so ctest names the case after the method.
+  friend void PrintTo(const DistMethod& m, std::ostream* os) {
+    *os << m.name;
+  }
+};
+
+std::vector<DistMethod> dist_methods() {
+  using Op = const sv::DistOp<double>&;
+  using B = const DistributedVector<double>&;
+  using X = DistributedVector<double>&;
+  using O = const sv::SolveOptions&;
+  return {
+      {"cg", spd_matrix,
+       [](Op a, Op, B b, X x, O o) { return sv::cg_dist<double>(a, b, x, o); }},
+      {"pcg", spd_matrix,
+       [](Op a, Op m, B b, X x, O o) {
+         return sv::pcg_dist<double>(a, m, b, x, o);
+       }},
+      // The transpose accumulate sums partial products in an NP-dependent
+      // order, so BiCG runs on a symmetric A with the row-wise A as A^T.
+      {"bicg", spd_matrix,
+       [](Op a, Op, B b, X x, O o) {
+         return sv::bicg_dist<double>(a, a, b, x, o);
+       }},
+      {"cgs", upwind_matrix,
+       [](Op a, Op, B b, X x, O o) { return sv::cgs_dist<double>(a, b, x, o); }},
+      {"bicgstab", upwind_matrix,
+       [](Op a, Op, B b, X x, O o) {
+         return sv::bicgstab_dist<double>(a, b, x, o);
+       }},
+      {"bicgstab_fused", upwind_matrix,
+       [](Op a, Op, B b, X x, O o) {
+         return sv::bicgstab_fused_dist<double>(a, b, x, o);
+       }},
+      {"gmres", upwind_matrix,
+       [](Op a, Op, B b, X x, O o) {
+         return sv::gmres_dist<double>(a, b, x, {.base = o, .restart = 20});
+       }},
+  };
+}
+
+/// Rank 0's result of `m` on `np` ranks.
+sv::SolveResult dist_solve(int np, const DistMethod& m,
+                           const sp::Csr<double>& a,
+                           const std::vector<double>& b_full) {
+  sv::SolveResult out;
+  run_spmd(np, [&](Process& proc) {
+    auto dist = share(Distribution::block(a.n_rows(), proc.nprocs()));
+    auto mat = sp::DistCsr<double>::row_aligned(proc, a, dist);
+    DistributedVector<double> b(proc, dist), x(proc, dist),
+        inv_diag(proc, dist);
+    b.from_global(b_full);
+    inv_diag.set_from([&](std::size_t g) { return 1.0 / a.at(g, g); });
+    const sv::DistOp<double> op = [&](const DistributedVector<double>& p,
+                                      DistributedVector<double>& q) {
+      mat.matvec(p, q);
+    };
+    const auto res = m.solve(op, sv::jacobi_dist<double>(inv_diag), b, x,
+                             {.max_iterations = 400,
+                              .rel_tolerance = 1e-10,
+                              .track_residuals = true});
+    if (proc.rank() == 0) out = res;
+  });
+  return out;
+}
+
+class ReproNpInvarianceTest : public ::testing::TestWithParam<DistMethod> {
+ protected:
+  void SetUp() override {
+    if (!repro::kCompiled) GTEST_SKIP() << "repro mode compiled out";
+  }
+};
+
+TEST_P(ReproNpInvarianceTest, ResidualHistoryIsNpInvariant) {
+  const DistMethod& m = GetParam();
+  const auto a = m.matrix();
+  const auto b_full = sp::random_rhs(a.n_rows(), 23);
+  repro::ScopedEnable on;
+  const sv::SolveResult ref = dist_solve(1, m, a, b_full);
+  ASSERT_TRUE(ref.converged);
+  for (const int np : {2, 4, 8}) {
+    EXPECT_EQ(dist_solve(np, m, a, b_full).residual_signature(),
+              ref.residual_signature())
+        << "np=" << np;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Solvers, ReproNpInvarianceTest,
+                         ::testing::ValuesIn(dist_methods()));
 
 }  // namespace

@@ -1,20 +1,32 @@
 // Integration tests for tracing woven into the msg runtime: Session
 // lifetime mirrors check::Harness, spans carry kind/width/depth/envelope
-// path, the solver metrics channel publishes residuals, and — the contract
-// the whole subsystem hangs on — Stats are bit-identical with tracing off,
-// on, or compiled out.
+// path, the solver metrics channel publishes residuals, every distributed
+// solver traces its iterations, and — the contract the whole subsystem
+// hangs on — Stats are bit-identical with tracing off, on, or compiled out.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "hpfcg/msg/process.hpp"
 #include "hpfcg/msg/runtime.hpp"
+#include "hpfcg/solvers/dist_gmres.hpp"
+#include "hpfcg/solvers/dist_solvers.hpp"
+#include "hpfcg/sparse/dist_csr.hpp"
+#include "hpfcg/sparse/generators.hpp"
 #include "hpfcg/trace/trace.hpp"
 #include "spmd_test_util.hpp"
 
 namespace trace = hpfcg::trace;
+namespace sv = hpfcg::solvers;
+namespace sp = hpfcg::sparse;
+using hpfcg::hpf::Distribution;
+using hpfcg::hpf::DistributedVector;
 using hpfcg::msg::Process;
 using hpfcg::msg::Stats;
 using hpfcg_test::run_spmd;
@@ -124,6 +136,85 @@ TEST(RuntimeTrace, IterationMetricsChannelPublishesResiduals) {
   EXPECT_GE(iters[2].reductions, iters[0].reductions);
   EXPECT_GE(iters[2].bytes_moved, iters[0].bytes_moved);
   EXPECT_GT(iters[2].reductions, 0u);
+}
+
+TEST(RuntimeTrace, EveryDistributedSolverTracesEachIteration) {
+  // Each distributed solver records one kIteration span per iteration,
+  // a kMatvec span inside every one of them, and one metrics-channel
+  // sample per iteration plus the initial residual.
+  if (!trace::kCompiled) GTEST_SKIP() << "tracing compiled out";
+  trace::ScopedEnable on(true);
+  using DV = DistributedVector<double>;
+  using Op = const sv::DistOp<double>&;
+  using Solve = std::function<sv::SolveResult(Op, Op, const DV&, DV&)>;
+  const std::vector<std::pair<const char*, Solve>> solvers = {
+      {"cg", [](Op a, Op, const DV& b, DV& x) {
+         return sv::cg_dist<double>(a, b, x);
+       }},
+      {"cg_fused", [](Op a, Op, const DV& b, DV& x) {
+         return sv::cg_fused_dist<double>(a, b, x);
+       }},
+      {"pcg", [](Op a, Op m, const DV& b, DV& x) {
+         return sv::pcg_dist<double>(a, m, b, x);
+       }},
+      {"pcg_fused", [](Op a, Op m, const DV& b, DV& x) {
+         return sv::pcg_fused_dist<double>(a, m, b, x);
+       }},
+      {"bicg", [](Op a, Op, const DV& b, DV& x) {
+         return sv::bicg_dist<double>(a, a, b, x);  // A is symmetric
+       }},
+      {"cgs", [](Op a, Op, const DV& b, DV& x) {
+         return sv::cgs_dist<double>(a, b, x);
+       }},
+      {"bicgstab", [](Op a, Op, const DV& b, DV& x) {
+         return sv::bicgstab_dist<double>(a, b, x);
+       }},
+      {"bicgstab_fused", [](Op a, Op, const DV& b, DV& x) {
+         return sv::bicgstab_fused_dist<double>(a, b, x);
+       }},
+      {"gmres", [](Op a, Op, const DV& b, DV& x) {
+         return sv::gmres_dist<double>(a, b, x, {.restart = 10});
+       }},
+  };
+  const auto a = sp::random_spd(40, 5, 3);
+  const auto b_full = sp::random_rhs(a.n_rows(), 4);
+  const int np = 2;
+  for (const auto& [name, solve] : solvers) {
+    std::vector<std::size_t> iterations(np, 0);
+    auto rt = run_spmd(np, [&](Process& p) {
+      auto dist = std::make_shared<const Distribution>(
+          Distribution::block(a.n_rows(), p.nprocs()));
+      auto mat = sp::DistCsr<double>::row_aligned(p, a, dist);
+      DV b(p, dist), x(p, dist), inv_diag(p, dist);
+      b.from_global(b_full);
+      inv_diag.set_from([&](std::size_t g) { return 1.0 / a.at(g, g); });
+      const sv::DistOp<double> op = [&](const DV& in, DV& out) {
+        mat.matvec(in, out);
+      };
+      const auto res = solve(op, sv::jacobi_dist<double>(inv_diag), b, x);
+      EXPECT_TRUE(res.converged) << name;
+      iterations[static_cast<std::size_t>(p.rank())] = res.iterations;
+    });
+    ASSERT_NE(rt->tracer(), nullptr);
+    for (int r = 0; r < np; ++r) {
+      const auto& t = rt->tracer()->rank(r);
+      ASSERT_EQ(t.dropped(), 0u) << name;
+      const std::size_t iters = iterations[static_cast<std::size_t>(r)];
+      ASSERT_GT(iters, 0u) << name;
+      const auto its = spans_of_kind(t, trace::SpanKind::kIteration);
+      EXPECT_EQ(its.size(), iters) << name << " rank=" << r;
+      const auto matvecs = spans_of_kind(t, trace::SpanKind::kMatvec);
+      for (const auto& it : its) {
+        EXPECT_TRUE(std::any_of(matvecs.begin(), matvecs.end(),
+                                [&](const trace::Span& mv) {
+                                  return mv.t0_ns >= it.t0_ns &&
+                                         mv.t1_ns <= it.t1_ns;
+                                }))
+            << name << " rank=" << r << " iteration " << it.a;
+      }
+      EXPECT_EQ(t.iterations().size(), iters + 1) << name << " rank=" << r;
+    }
+  }
 }
 
 /// The tentpole contract: tracing must never perturb the machine's
