@@ -38,7 +38,8 @@ int main() {
 
   enum class Mode { kFlat, kFlatCached, kAtom };
   for (const int np : {2, 4, 8, 16}) {
-    // Baseline bytes: the aligned variant's traffic (pure p-broadcasts).
+    // Baseline bytes: the aligned variant's traffic (its p exchanges only;
+    // the flat variants run the same exchanges plus their nnz fetches).
     unsigned long long aligned_bytes = 0;
 
     for (const auto mode : {Mode::kAtom, Mode::kFlat, Mode::kFlatCached}) {

@@ -8,7 +8,9 @@
 
 #include <cmath>
 #include <iostream>
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -17,6 +19,7 @@
 #include "hpfcg/msg/phase_profile.hpp"
 #include "hpfcg/sparse/dist_csr.hpp"
 #include "hpfcg/sparse/generators.hpp"
+#include "hpfcg/sparse/halo.hpp"
 
 using hpfcg::hpf::Distribution;
 using hpfcg::hpf::DistributedVector;
@@ -29,6 +32,10 @@ int main() {
   const std::size_t n = a.n_rows();
   const auto b_full = hpfcg::sparse::random_rhs(n, 777);
   const std::size_t iters = 40;
+  const std::string matvec_phase = hpfcg::sparse::halo::enabled()
+                                       ? "sparse matvec (incl. halo exchange)"
+                                       : "sparse matvec (incl. p-broadcast)";
+  std::map<int, std::map<std::string, double>> shares;  // np -> phase -> %
 
   for (const int np : {4, 16}) {
     // One profile per rank; aggregate after the run.
@@ -51,7 +58,7 @@ int main() {
       prof.enter("dot merges");
       double rho = hpfcg::hpf::dot_product(r, r);
       for (std::size_t k = 0; k < iters; ++k) {
-        prof.enter("sparse matvec (incl. p-broadcast)");
+        prof.enter(matvec_phase);
         mat.matvec(p, q);
         prof.enter("dot merges");
         const double pq = hpfcg::hpf::dot_product(p, q);
@@ -90,21 +97,30 @@ int main() {
     for (const auto& [name, t] : max_time) makespan += t;
     const double it = static_cast<double>(iters);
     for (const auto& [name, s] : total) {
+      shares[np][name] = 100.0 * max_time[name] / makespan;
       table.add_row(
           {name, hpfcg::util::fmt(static_cast<double>(s.flops) / it, 5),
            hpfcg::util::fmt(static_cast<double>(s.messages_sent) / it, 4),
            hpfcg::util::fmt(static_cast<double>(s.bytes_sent) / it, 5),
            hpfcg::util::fmt(max_time[name] * 1e6 / it, 4),
-           hpfcg::util::fmt(100.0 * max_time[name] / makespan, 3) + "%"});
+           hpfcg::util::fmt(shares[np][name], 3) + "%"});
     }
     table.print(std::cout);
   }
 
+  const auto pct = [&](int np, const std::string& phase) {
+    return hpfcg::util::fmt(shares[np][phase], 3) + "%";
+  };
   std::cout
-      << "\nReading: the matvec (dominated by its p-broadcast) and the two\n"
-         "DOT_PRODUCT merges split the per-iteration cost; at fixed n the\n"
-         "merges' t_s*logNP start-ups grow into the majority as NP rises,\n"
-         "while the three SAXPY-class updates communicate nothing and\n"
-         "shrink with 1/NP — the paper's Section 2/4 breakdown, measured.\n";
+      << "\nReading: the matvec and the two DOT_PRODUCT merges split the\n"
+         "per-iteration cost.  From NP=4 to NP=16 at fixed n the matvec's\n"
+         "share goes "
+      << pct(4, matvec_phase) << " -> " << pct(16, matvec_phase)
+      << " and the merges' (t_s*logNP start-ups)\n"
+      << pct(4, "dot merges") << " -> " << pct(16, "dot merges")
+      << ", while the three SAXPY-class updates communicate nothing\n"
+         "and shrink with 1/NP ("
+      << pct(4, "saxpy updates") << " -> " << pct(16, "saxpy updates")
+      << ") — the paper's Section 2/4 breakdown,\nmeasured.\n";
   return 0;
 }

@@ -47,10 +47,6 @@ struct Stats {
   std::uint64_t halo_bytes = 0;
   std::uint64_t ghost_entries = 0;
   std::uint64_t gather_bytes = 0;
-  /// Matvecs that wanted the halo executor but fell back to the O(n)
-  /// gather because the row distribution is not contiguous — the perf
-  /// cliff the one-shot runtime warning points at.
-  std::uint64_t halo_fallbacks = 0;
 
   /// Multigrid preconditioner work (solvers::MgPreconditioner): V-cycle
   /// applications and Gauss–Seidel half-sweeps summed over every level —
@@ -102,7 +98,6 @@ struct Stats {
     halo_bytes += o.halo_bytes;
     ghost_entries += o.ghost_entries;
     gather_bytes += o.gather_bytes;
-    halo_fallbacks += o.halo_fallbacks;
     mg_vcycles += o.mg_vcycles;
     mg_level_sweeps += o.mg_level_sweeps;
     envelopes_inline += o.envelopes_inline;

@@ -44,6 +44,7 @@
 #include "hpfcg/msg/process.hpp"
 #include "hpfcg/solvers/dist_solvers.hpp"
 #include "hpfcg/sparse/dist_csr.hpp"
+#include "hpfcg/sparse/halo.hpp"
 
 namespace hpfcg::solvers {
 
@@ -63,49 +64,41 @@ struct MgOptions {
   MgSmoother smoother = MgSmoother::kAuto;
 };
 
-/// Inspector/executor transfer schedule between one grid level and its
-/// coarsening.  Built once at setup (one neighborhood all-to-all of fine
-/// gid requests, mirroring HaloPlan); each apply is O(transfer boundary)
-/// point-to-point traffic.  Restriction is injection — coarse point
-/// (xc,yc,zc) copies fine point (2xc,2yc,2zc) — and prolongation is its
-/// transpose scatter-add, so each fine point receives at most one coarse
-/// contribution and the apply is bitwise partition-invariant.
+/// Transfer schedule between one grid level and its coarsening, replayed
+/// through one sparse::HaloPlan over the fine distribution.  Restriction is
+/// injection — coarse point (xc,yc,zc) copies fine point (2xc,2yc,2zc) —
+/// and prolongation is its transpose scatter-add, so each fine point
+/// receives at most one coarse contribution and the apply is bitwise
+/// partition-invariant.  The plan's footprint is the fine point co-located
+/// with each coarse row this rank owns: co-owned points copy locally, and
+/// by injectivity each ghost slot serves exactly one remote coarse row.
 class GridTransfer {
  public:
-  /// Collective: every rank calls together.  Distributions must be
-  /// contiguous (they are the matrices' row distributions).
+  /// Collective: every rank calls together (one HaloPlan build).
   void build(msg::Process& proc, std::array<std::size_t, 3> fine_dims,
              const hpf::Distribution& fine_dist,
              std::array<std::size_t, 3> coarse_dims,
              const hpf::Distribution& coarse_dist);
 
-  /// coarse = R fine (collective).
+  /// coarse = R fine (collective): exchange, then scatter the ghosts into
+  /// their coarse rows, then the co-owned copies.
   void restrict_to(msg::Process& proc, std::span<const double> fine,
                    std::span<double> coarse) const;
 
-  /// fine += Rᵀ coarse (collective).
+  /// fine += Rᵀ coarse (collective): pack the remote rows' values into the
+  /// ghost slots, accumulate them at their owners, then the co-owned adds.
   void prolong_add(msg::Process& proc, std::span<const double> coarse,
                    std::span<double> fine) const;
 
-  [[nodiscard]] bool built() const { return built_; }
+  [[nodiscard]] bool built() const { return plan_.built(); }
 
  private:
-  struct Peer {
-    int rank = 0;
-    std::size_t offset = 0;
-    std::size_t count = 0;
-  };
-
-  static constexpr int kRestrictTag = 0x2501;
-  static constexpr int kProlongTag = 0x2502;
-
-  bool built_ = false;
-  std::vector<Peer> coarse_peers_;  ///< runs of my coarse rows, per fine owner
-  std::vector<Peer> fine_peers_;    ///< coarse owners served from fine_idx_
-  std::vector<std::size_t> fine_idx_;     ///< my fine-local injection points
-  std::vector<std::size_t> self_coarse_;  ///< co-owned: coarse local index
-  std::vector<std::size_t> self_fine_;    ///< co-owned: fine local index
-  mutable std::vector<double> pack_;      ///< send/recv scratch
+  sparse::HaloPlan plan_;
+  std::vector<std::size_t> ghost_coarse_;  ///< coarse local row per ghost
+  std::vector<std::size_t> self_coarse_;   ///< co-owned: coarse local index
+  std::vector<std::size_t> self_fine_;     ///< co-owned: fine local index
+  mutable std::vector<double> ghosts_;     ///< ghost-slot values
+  mutable std::vector<double> pack_;       ///< executor scratch
 };
 
 /// V-cycle geometric multigrid over a 27-point stencil DistCsr, pluggable

@@ -26,113 +26,57 @@ void GridTransfer::build(msg::Process& proc,
                          const hpf::Distribution& fine_dist,
                          std::array<std::size_t, 3> coarse_dims,
                          const hpf::Distribution& coarse_dist) {
-  HPFCG_REQUIRE(fine_dist.contiguous() && coarse_dist.contiguous(),
-                "GridTransfer: contiguous distributions required");
-  const int np = proc.nprocs();
   const int me = proc.rank();
-  const auto [clo, chi] = coarse_dist.local_range(me);
-  const auto [flo, fhi] = fine_dist.local_range(me);
-
-  coarse_peers_.clear();
-  fine_peers_.clear();
-  fine_idx_.clear();
-  self_coarse_.clear();
-  self_fine_.clear();
-
-  // Inspector: walk my coarse rows in order; the co-located fine gid is
-  // monotone in the coarse gid (both orderings are lexicographic in
-  // (z, y, x)), so each fine owner's slice is one contiguous run.
-  std::vector<std::vector<std::size_t>> requests(static_cast<std::size_t>(np));
-  int run_rank = -1;
-  std::size_t run_begin = 0;
-  const auto close_run = [&](std::size_t end) {
-    if (run_rank < 0 || run_rank == me || end == run_begin) return;
-    coarse_peers_.push_back(
-        Peer{run_rank, run_begin - clo, end - run_begin});
-  };
-  for (std::size_t ic = clo; ic < chi; ++ic) {
+  const std::size_t nc = coarse_dist.local_count(me);
+  std::vector<std::size_t> fine_gids(nc);
+  for (std::size_t li = 0; li < nc; ++li) {
+    const std::size_t ic = coarse_dist.global_index(me, li);
     const std::size_t zc = ic / (coarse_dims[0] * coarse_dims[1]);
     const std::size_t rem = ic % (coarse_dims[0] * coarse_dims[1]);
-    const std::size_t yc = rem / coarse_dims[0];
-    const std::size_t xc = rem % coarse_dims[0];
-    const std::size_t g = fine_gid_of(fine_dims, xc, yc, zc);
-    const int owner = fine_dist.owner(g);
-    if (owner != run_rank) {
-      close_run(ic);
-      run_rank = owner;
-      run_begin = ic;
-    }
-    if (owner == me) {
-      self_coarse_.push_back(ic - clo);
-      self_fine_.push_back(g - flo);
-    } else {
-      requests[static_cast<std::size_t>(owner)].push_back(g);
-    }
+    fine_gids[li] =
+        fine_gid_of(fine_dims, rem % coarse_dims[0], rem / coarse_dims[0], zc);
   }
-  close_run(chi);
+  plan_.build(proc, fine_gids, fine_dist);
 
-  // One neighborhood personalized all-to-all ships the fine-gid request
-  // lists; the replies tell this rank which of its owned fine entries each
-  // coarse-side peer injects from.
-  const auto replies = proc.neighbor_alltoallv<std::size_t>(requests);
-  for (int r = 0; r < np; ++r) {
-    if (r == me) continue;
-    const auto& want = replies[static_cast<std::size_t>(r)];
-    if (want.empty()) continue;
-    fine_peers_.push_back(Peer{r, fine_idx_.size(), want.size()});
-    for (const std::size_t g : want) {
-      HPFCG_REQUIRE(g >= flo && g < fhi,
-                    "GridTransfer: peer requested a fine entry this rank "
-                    "does not own — grid maps diverged");
-      fine_idx_.push_back(g - flo);
+  ghost_coarse_.assign(plan_.n_ghosts(), 0);
+  self_coarse_.clear();
+  self_fine_.clear();
+  for (std::size_t li = 0; li < nc; ++li) {
+    const std::size_t k = plan_.local_index(fine_gids[li]);
+    if (k < plan_.n_owned()) {
+      self_coarse_.push_back(li);
+      self_fine_.push_back(k);
+    } else {
+      ghost_coarse_[k - plan_.n_owned()] = li;
     }
   }
-  built_ = true;
 }
 
 void GridTransfer::restrict_to(msg::Process& proc,
                                std::span<const double> fine,
                                std::span<double> coarse) const {
-  HPFCG_REQUIRE(built_, "GridTransfer::restrict_to before build");
-  for (const Peer& pe : fine_peers_) {
-    if (pack_.size() < pe.count) pack_.resize(pe.count);
-    for (std::size_t j = 0; j < pe.count; ++j) {
-      pack_[j] = fine[fine_idx_[pe.offset + j]];
-    }
-    proc.send<double>(pe.rank, kRestrictTag,
-                      std::span<const double>(pack_.data(), pe.count));
+  ghosts_.resize(ghost_coarse_.size());
+  plan_.exchange<double>(proc, fine, ghosts_, pack_);
+  for (std::size_t j = 0; j < ghost_coarse_.size(); ++j) {
+    coarse[ghost_coarse_[j]] = ghosts_[j];
   }
   for (std::size_t i = 0; i < self_coarse_.size(); ++i) {
     coarse[self_coarse_[i]] = fine[self_fine_[i]];
-  }
-  for (const Peer& pe : coarse_peers_) {
-    proc.recv_into<double>(pe.rank, kRestrictTag,
-                           coarse.subspan(pe.offset, pe.count));
   }
 }
 
 void GridTransfer::prolong_add(msg::Process& proc,
                                std::span<const double> coarse,
                                std::span<double> fine) const {
-  HPFCG_REQUIRE(built_, "GridTransfer::prolong_add before build");
-  for (const Peer& pe : coarse_peers_) {
-    proc.send<double>(pe.rank, kProlongTag,
-                      coarse.subspan(pe.offset, pe.count));
+  ghosts_.resize(ghost_coarse_.size());
+  for (std::size_t j = 0; j < ghost_coarse_.size(); ++j) {
+    ghosts_[j] = coarse[ghost_coarse_[j]];
   }
-  std::uint64_t adds = self_fine_.size();
+  plan_.accumulate<double>(proc, ghosts_, fine, pack_);
   for (std::size_t i = 0; i < self_fine_.size(); ++i) {
     fine[self_fine_[i]] += coarse[self_coarse_[i]];
   }
-  for (const Peer& pe : fine_peers_) {
-    if (pack_.size() < pe.count) pack_.resize(pe.count);
-    proc.recv_into<double>(pe.rank, kProlongTag,
-                           std::span<double>(pack_.data(), pe.count));
-    for (std::size_t j = 0; j < pe.count; ++j) {
-      fine[fine_idx_[pe.offset + j]] += pack_[j];
-    }
-    adds += pe.count;
-  }
-  proc.add_flops(adds);
+  proc.add_flops(self_fine_.size());
 }
 
 MgPreconditioner::MgPreconditioner(msg::Process& proc,

@@ -558,19 +558,9 @@ class DistCsr {
                   "DistCsr::matvec: vectors must be aligned with the rows");
   }
 
-  /// Sample the halo toggle once per matrix (first sweep decides).  The
-  /// executor needs a contiguous row map to turn ownership into ranges;
-  /// anything else falls back to the gather path — counted per matrix in
-  /// Stats::halo_fallbacks and announced once per run on stderr, because
-  /// the silent O(n)-per-sweep downgrade is otherwise invisible.
+  /// Sample the halo toggle once per matrix (first sweep decides).
   [[nodiscard]] bool use_halo() {
-    if (halo_mode_ < 0) {
-      if (halo::enabled() && !row_dist_->contiguous()) {
-        ++proc_->stats().halo_fallbacks;
-        halo::warn_fallback_once();
-      }
-      halo_mode_ = (halo::enabled() && row_dist_->contiguous()) ? 1 : 0;
-    }
+    if (halo_mode_ < 0) halo_mode_ = halo::enabled() ? 1 : 0;
     return halo_mode_ == 1;
   }
 

@@ -12,7 +12,7 @@
 
 #include <algorithm>
 #include <memory>
-#include <numeric>
+#include <span>
 #include <vector>
 
 #include "hpfcg/hpf/dist_vector.hpp"
@@ -98,55 +98,31 @@ class DistCsrGrid2D {
     const int gc = grid_.col_of(proc.rank());
 
     // (1) gather my column segment of p within the grid column.
-    const auto col_members = grid_.col_group(gc);
-    std::vector<std::size_t> piece_counts(col_members.size());
-    {
+    const bool halo = use_halo();
+    if (halo) {
+      // Inspector/executor variant of (1): one HaloPlan over p's
+      // distribution exchanges only the segment entries this tile's
+      // columns touch, and the sweep reads them through the remapped
+      // columns — the same values the gather delivers, so results are
+      // bit-identical.
+      ensure_halo(p.dist());
+      const std::size_t nl = halo_.n_owned();
+      x_halo_.resize(nl + halo_.n_ghosts());
+      std::copy(p.local().begin(), p.local().end(), x_halo_.begin());
+      halo_.exchange<T>(proc, p.local(), std::span<T>(x_halo_).subspan(nl),
+                        pack_);
+    } else {
+      const auto col_members = grid_.col_group(gc);
+      std::vector<std::size_t> piece_counts(col_members.size());
       const auto piece = hpf::Distribution::block(chi_ - clo_, grid_.pr());
       for (int i = 0; i < grid_.pr(); ++i) {
         piece_counts[static_cast<std::size_t>(i)] = piece.local_count(i);
       }
-    }
-    if (use_halo()) {
-      // Inspector/executor variant of (1): exchange only the segment
-      // entries this tile's columns actually touch, scattered into the
-      // same positions of the full-size segment buffer — the sweep below
-      // reads identical values either way, so results are bit-identical.
-      ensure_group_halo(proc, col_members, piece_counts);
-      x_seg_.assign(chi_ - clo_, T{});
-      std::copy(p.local().begin(), p.local().end(),
-                x_seg_.begin() + static_cast<std::ptrdiff_t>(my_piece_lo_));
-      trace::SpanScope span(proc.tracer_rank(), trace::SpanKind::kHalo,
-                            static_cast<std::uint32_t>(peers_.size()));
-      std::uint64_t bytes = 0;
-      std::uint64_t msgs = 0;
-      for (const GroupPeer& pe : peers_) {
-        if (pe.send_idx.empty()) continue;
-        if (pack_.size() < pe.send_idx.size()) pack_.resize(pe.send_idx.size());
-        for (std::size_t j = 0; j < pe.send_idx.size(); ++j) {
-          pack_[j] = p.local()[pe.send_idx[j]];
-        }
-        proc.send<T>(pe.rank, kExchangeTag,
-                     std::span<const T>(pack_.data(), pe.send_idx.size()));
-        bytes += pe.send_idx.size() * sizeof(T);
-        ++msgs;
-      }
-      for (const GroupPeer& pe : peers_) {
-        if (pe.recv_pos.empty()) continue;
-        if (pack_.size() < pe.recv_pos.size()) pack_.resize(pe.recv_pos.size());
-        proc.recv_into<T>(pe.rank, kExchangeTag,
-                          std::span<T>(pack_.data(), pe.recv_pos.size()));
-        for (std::size_t j = 0; j < pe.recv_pos.size(); ++j) {
-          x_seg_[pe.recv_pos[j]] = pack_[j];
-        }
-      }
-      span.set_bytes(bytes);
-      auto& s = proc.stats();
-      s.halo_msgs += msgs;
-      s.halo_bytes += bytes;
-    } else {
       hpf::group_allgatherv<T>(proc, col_members, p.local(), x_seg_,
                                piece_counts, 0x3400);
     }
+    const std::vector<T>& x = halo ? x_halo_ : x_seg_;
+    const std::vector<std::size_t>& cols = halo ? tile_local_ : tile_col_;
 
     // (2) local sparse tile SpMV.
     const std::size_t tr = rhi_ - rlo_;
@@ -155,7 +131,7 @@ class DistCsrGrid2D {
     for (std::size_t i = 0; i < tr; ++i) {
       T acc{};
       for (std::size_t k = tile_ptr_[i]; k < tile_ptr_[i + 1]; ++k) {
-        acc += tile_val_[k] * x_seg_[tile_col_[k]];
+        acc += tile_val_[k] * x[cols[k]];
       }
       partial[i] = acc;
       flops += 2 * (tile_ptr_[i + 1] - tile_ptr_[i]);
@@ -180,101 +156,44 @@ class DistCsrGrid2D {
 
   /// Segment entries the inspector found touched but foreign (0 until the
   /// first halo sweep; used by tests and the bench table).
-  [[nodiscard]] std::size_t ghost_entries() const { return ghost_entries_; }
+  [[nodiscard]] std::size_t ghost_entries() const { return halo_.n_ghosts(); }
 
  private:
-  /// One column-group member's slice of the exchange schedule.
-  struct GroupPeer {
-    int rank = 0;  ///< machine rank
-    std::vector<std::size_t> send_idx;  ///< my-piece-local offsets to pack
-    std::vector<std::size_t> recv_pos;  ///< segment positions they fill
-  };
-
-  /// Group-scoped exchange tags, following the 0x3400/0x3600 group-op
-  /// idiom (fixed user tags, no ledger conformance — group membership
-  /// itself keeps the streams paired).
-  static constexpr int kSetupTag = 0x3500;
-  static constexpr int kExchangeTag = 0x3501;
-
   [[nodiscard]] bool use_halo() {
     if (halo_mode_ < 0) halo_mode_ = halo::enabled() ? 1 : 0;
     return halo_mode_ == 1;
   }
 
-  /// Group-collective inspector, run lazily at the first halo sweep: scan
-  /// the tile's (rebased) columns for touched segment positions, exchange
-  /// the request lists pairwise within the grid column, and cache who
-  /// needs which of my piece entries.  Eager sends make the
-  /// send-all-then-recv-all pairwise pass deadlock-free; empty lists still
-  /// travel once here so both sides learn the (possibly empty) pattern.
-  void ensure_group_halo(msg::Process& proc,
-                         const std::vector<int>& col_members,
-                         const std::vector<std::size_t>& piece_counts) {
-    if (gplan_built_) return;
-    const int g = static_cast<int>(col_members.size());
-    const int me_g = grid_.row_of(proc.rank());
-    std::vector<std::size_t> off(static_cast<std::size_t>(g) + 1, 0);
-    std::partial_sum(piece_counts.begin(), piece_counts.end(),
-                     off.begin() + 1);
-    my_piece_lo_ = off[static_cast<std::size_t>(me_g)];
-
-    std::vector<std::size_t> touched(tile_col_);
-    std::sort(touched.begin(), touched.end());
-    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-
-    std::vector<std::vector<std::size_t>> req(static_cast<std::size_t>(g));
-    for (const std::size_t pos : touched) {
-      const auto it = std::upper_bound(off.begin(), off.end(), pos);
-      const auto owner = static_cast<std::size_t>(it - off.begin()) - 1;
-      if (static_cast<int>(owner) != me_g) req[owner].push_back(pos);
+  /// Collective lazy inspector, run at the first halo sweep: build the plan
+  /// over the tile's global columns and remap them into the compact
+  /// [owned | ghost] numbering.
+  void ensure_halo(const hpf::Distribution& p_dist) {
+    if (halo_.built()) return;
+    std::vector<std::size_t> gcols(tile_col_.size());
+    for (std::size_t k = 0; k < gcols.size(); ++k) {
+      gcols[k] = clo_ + tile_col_[k];
     }
-
-    peers_.clear();
-    for (int i = 0; i < g; ++i) {
-      if (i == me_g) continue;
-      const auto& r = req[static_cast<std::size_t>(i)];
-      proc.send<std::size_t>(col_members[static_cast<std::size_t>(i)],
-                             kSetupTag,
-                             std::span<const std::size_t>(r.data(), r.size()));
+    halo_.build(*proc_, gcols, p_dist);
+    tile_local_.resize(gcols.size());
+    for (std::size_t k = 0; k < gcols.size(); ++k) {
+      tile_local_[k] = halo_.local_index(gcols[k]);
     }
-    for (int i = 0; i < g; ++i) {
-      if (i == me_g) continue;
-      GroupPeer pe;
-      pe.rank = col_members[static_cast<std::size_t>(i)];
-      const auto want = proc.recv<std::size_t>(pe.rank, kSetupTag);
-      pe.send_idx.reserve(want.size());
-      const std::size_t mine =
-          piece_counts[static_cast<std::size_t>(me_g)];
-      for (const std::size_t w : want) {
-        HPFCG_REQUIRE(w >= my_piece_lo_ && w - my_piece_lo_ < mine,
-                      "grid2d halo: peer requested a position outside this "
-                      "rank's piece");
-        pe.send_idx.push_back(w - my_piece_lo_);
-      }
-      pe.recv_pos = req[static_cast<std::size_t>(i)];
-      ghost_entries_ += pe.recv_pos.size();
-      peers_.push_back(std::move(pe));
-    }
-    proc.stats().ghost_entries += ghost_entries_;
-    gplan_built_ = true;
   }
 
   msg::Process* proc_;
   hpf::Grid2D grid_;
   std::size_t n_;
   std::size_t rlo_ = 0, rhi_ = 0, clo_ = 0, chi_ = 0;
-  std::vector<std::size_t> tile_ptr_;  ///< local CSR over tile rows
-  std::vector<std::size_t> tile_col_;  ///< rebased to [0, chi-clo)
+  std::vector<std::size_t> tile_ptr_;    ///< local CSR over tile rows
+  std::vector<std::size_t> tile_col_;    ///< rebased to [0, chi-clo)
+  std::vector<std::size_t> tile_local_;  ///< tile_col_ in [owned | ghost]
   std::vector<T> tile_val_;
 
-  // Column-group halo state (lazy; see ensure_group_halo).
-  int halo_mode_ = -1;       ///< -1 undecided, 0 gather, 1 halo
-  bool gplan_built_ = false;
-  std::size_t my_piece_lo_ = 0;  ///< my piece's offset within the segment
-  std::size_t ghost_entries_ = 0;
-  std::vector<GroupPeer> peers_;  ///< other members, ascending group index
-  std::vector<T> x_seg_;          ///< column-segment sweep buffer
-  std::vector<T> pack_;           ///< executor pack/unpack scratch
+  int halo_mode_ = -1;    ///< -1 undecided, 0 gather, 1 halo
+  HaloPlan halo_;         ///< built lazily at the first halo sweep
+  std::vector<T> x_halo_;  ///< [owned | ghost] sweep buffer
+  std::vector<T> x_seg_;   ///< gathered column segment (gather path)
+  std::vector<T> pack_;    ///< executor scratch
 };
 
 }  // namespace hpfcg::sparse

@@ -14,10 +14,16 @@
 // per-sweep *executor* then posts O(boundary) point-to-point messages from
 // the cached plan instead of rebuilding an O(n) replicated vector.
 //
+// The plan is the one ghost-exchange schedule of the library: DistCsr's
+// row-wise sweeps, DistCsrGrid2D's column-group segment exchange and the
+// multigrid grid transfers (solvers::GridTransfer) all replay a HaloPlan.
+// It works over any hpf::Distribution; ghosts are numbered by ascending
+// owner rank, then ascending gid (for contiguous maps: ascending gid).
+//
 // Plan lifecycle:
-//   build       — collective; scans the assembled column window against
-//                 the (contiguous) row distribution.  Cached indefinitely:
-//                 the descriptor's immutability contract means the footprint
+//   build       — collective; scans the caller's global index footprint
+//                 against the ownership map.  Cached indefinitely: the
+//                 descriptor's immutability contract means the footprint
 //                 never changes for a given ownership map.
 //   exchange    — forward executor (matvec): owners ship boundary entries,
 //                 ghosts land in the tail of the [owned | ghost] buffer.
@@ -47,6 +53,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "hpfcg/hpf/distribution.hpp"
@@ -63,13 +70,6 @@ namespace halo {
 /// O(n) gather for A/B comparisons) or programmatic set_enabled().
 [[nodiscard]] bool enabled();
 void set_enabled(bool on);
-
-/// Emit (once per run) the stderr notice that a matrix wanted the halo
-/// executor but its row distribution is not contiguous, so the sweep
-/// silently pays the legacy O(n) gather instead.  The per-matrix event is
-/// also counted in Stats::halo_fallbacks; the one-shot warning exists so
-/// the perf cliff is visible even when nobody reads the stats.
-void warn_fallback_once();
 
 /// RAII enable/disable for tests and benches: restores the previous state.
 class ScopedEnable {
@@ -95,51 +95,51 @@ class HaloPlan {
   HaloPlan() = default;
 
   /// Collective inspector: scan this rank's column indices `cols` (global
-  /// numbering) against the contiguous row distribution, exchange the
-  /// packed request lists, and derive the send/recv schedule.  Every rank
-  /// must call it together (it runs a neighbor_alltoallv + allgatherv).
+  /// numbering) against the ownership map `row_dist` — any distribution —
+  /// exchange the packed request lists, and derive the send/recv schedule.
+  /// Every rank must call it together (it runs a neighbor_alltoallv +
+  /// allgatherv).
   void build(msg::Process& proc, std::span<const std::size_t> cols,
              const hpf::Distribution& row_dist) {
-    HPFCG_REQUIRE(row_dist.contiguous(),
-                  "HaloPlan: row distribution must be contiguous");
     const int np = proc.nprocs();
     const int me = proc.rank();
-    const auto [lo, hi] = row_dist.local_range(me);
-    row_lo_ = lo;
-    n_owned_ = hi - lo;
-
-    // Inspector: the ghost set is the sorted, deduplicated union of the
-    // foreign column indices.
-    ghost_gids_.clear();
-    for (const std::size_t c : cols) {
-      if (c < lo || c >= hi) ghost_gids_.push_back(c);
+    n_owned_ = row_dist.local_count(me);
+    // A contiguous map answers "do I own g" with one range test; any other
+    // map keeps its owned gids (every Distribution numbers a rank's
+    // elements in ascending global order) for a binary search.
+    owned_gids_.clear();
+    if (row_dist.contiguous()) {
+      row_lo_ = row_dist.local_range(me).first;
+    } else {
+      row_lo_ = 0;
+      for (std::size_t li = 0; li < n_owned_; ++li) {
+        owned_gids_.push_back(row_dist.global_index(me, li));
+      }
+      HPFCG_REQUIRE(std::is_sorted(owned_gids_.begin(), owned_gids_.end()),
+                    "HaloPlan: local numbering must ascend in global index");
     }
-    std::sort(ghost_gids_.begin(), ghost_gids_.end());
-    ghost_gids_.erase(std::unique(ghost_gids_.begin(), ghost_gids_.end()),
-                      ghost_gids_.end());
 
-    // Group ghosts by owner: contiguous ownership makes each owner's
-    // ghosts one contiguous run of the sorted list.
+    // Inspector: the ghost set is the deduplicated union of the foreign
+    // column indices, ordered by owner rank and then gid — for contiguous
+    // maps that is plain ascending-gid order.  Each owner's ghosts form one
+    // run of the list.
+    std::vector<std::pair<int, std::size_t>> ghosts;
+    for (const std::size_t c : cols) {
+      if (owned_offset(c) == kNone) ghosts.emplace_back(row_dist.owner(c), c);
+    }
+    std::sort(ghosts.begin(), ghosts.end());
+    ghosts.erase(std::unique(ghosts.begin(), ghosts.end()), ghosts.end());
+    ghost_gids_.clear();
     recv_peers_.clear();
     std::vector<std::vector<std::size_t>> requests(
         static_cast<std::size_t>(np));
-    {
-      std::size_t i = 0;
-      for (int r = 0; r < np && i < ghost_gids_.size(); ++r) {
-        if (r == me) continue;
-        const auto [rlo, rhi] = row_dist.local_range(r);
-        const std::size_t begin = i;
-        while (i < ghost_gids_.size() && ghost_gids_[i] < rhi) {
-          HPFCG_REQUIRE(ghost_gids_[i] >= rlo,
-                        "HaloPlan: column index outside every rank's range");
-          ++i;
-        }
-        if (i == begin) continue;
-        recv_peers_.push_back(Peer{r, begin, i - begin});
-        requests[static_cast<std::size_t>(r)].assign(
-            ghost_gids_.begin() + static_cast<std::ptrdiff_t>(begin),
-            ghost_gids_.begin() + static_cast<std::ptrdiff_t>(i));
+    for (const auto& [r, g] : ghosts) {
+      if (recv_peers_.empty() || recv_peers_.back().rank != r) {
+        recv_peers_.push_back(Peer{r, ghost_gids_.size(), 0});
       }
+      ++recv_peers_.back().count;
+      ghost_gids_.push_back(g);
+      requests[static_cast<std::size_t>(r)].push_back(g);
     }
 
     // One neighborhood personalized all-to-all ships the index lists; the
@@ -153,10 +153,11 @@ class HaloPlan {
       if (want.empty()) continue;
       send_peers_.push_back(Peer{r, send_idx_.size(), want.size()});
       for (const std::size_t g : want) {
-        HPFCG_REQUIRE(g >= lo && g < hi,
+        const std::size_t li = owned_offset(g);
+        HPFCG_REQUIRE(li != kNone,
                       "HaloPlan: peer requested an entry this rank does not "
                       "own — ownership maps diverged");
-        send_idx_.push_back(g - lo);
+        send_idx_.push_back(li);
       }
     }
 
@@ -174,9 +175,8 @@ class HaloPlan {
       h *= 1099511628211ULL;
     };
     mix(static_cast<std::uint64_t>(row_dist.size()));
-    for (int r = 0; r < np; ++r) {
-      mix(row_dist.local_range(r).first);
-    }
+    mix(static_cast<std::uint64_t>(row_dist.kind()));
+    for (const std::size_t c : row_dist.counts()) mix(c);
     for (const std::size_t c : all_counts) mix(c);
     topo_fp_ = static_cast<std::size_t>(h);
     if (proc.checking_active()) proc.conform_replicated(topo_fp_);
@@ -205,16 +205,17 @@ class HaloPlan {
   }
   [[nodiscard]] std::size_t topology_fingerprint() const { return topo_fp_; }
 
-  /// Compact [owned | ghost] index of global column g: owned entries keep
-  /// their offset within the block, ghosts follow in ascending-gid order.
+  /// Compact [owned | ghost] index of global index g: owned entries keep
+  /// their local offset, ghosts follow in (owner rank, gid) order.
   [[nodiscard]] std::size_t local_index(std::size_t g) const {
-    if (g >= row_lo_ && g < row_lo_ + n_owned_) return g - row_lo_;
-    const auto it =
-        std::lower_bound(ghost_gids_.begin(), ghost_gids_.end(), g);
-    HPFCG_REQUIRE(it != ghost_gids_.end() && *it == g,
-                  "HaloPlan: column index missing from the ghost set");
-    return n_owned_ +
-           static_cast<std::size_t>(it - ghost_gids_.begin());
+    if (const std::size_t li = owned_offset(g); li != kNone) return li;
+    for (const Peer& pe : recv_peers_) {
+      const std::size_t j = find_sorted(
+          std::span(ghost_gids_).subspan(pe.offset, pe.count), g);
+      if (j != kNone) return n_owned_ + pe.offset + j;
+    }
+    HPFCG_REQUIRE(false, "HaloPlan: index missing from the ghost set");
+    return kNone;
   }
 
   /// Forward executor: owners ship the boundary entries of `owned` that
@@ -301,7 +302,8 @@ class HaloPlan {
   ///      global row order, for any NP and any contiguous partition.
   /// A descending (backward) sweep mirrors every direction.  Phase 2
   /// (sweep_post) ships this rank's updated boundary values downstream.
-  /// Contiguous ownership means peer rank order IS global row order, so a
+  /// The sweeps need a contiguous map (DistCsr's row distributions are):
+  /// contiguous ownership means peer rank order IS global row order, so a
   /// single recv loop in ascending peer rank serves both roles: upstream
   /// owners' messages are their post-sweep values, downstream owners' are
   /// their pre-sweep values, and per-(src, tag) FIFO keeps successive
@@ -381,6 +383,23 @@ class HaloPlan {
   }
 
  private:
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+  /// Position of g in an ascending list, else kNone.
+  [[nodiscard]] static std::size_t find_sorted(
+      std::span<const std::size_t> sorted, std::size_t g) {
+    const auto it = std::lower_bound(sorted.begin(), sorted.end(), g);
+    return it != sorted.end() && *it == g
+               ? static_cast<std::size_t>(it - sorted.begin())
+               : kNone;
+  }
+
+  /// Local offset of g when this rank owns it, else kNone.
+  [[nodiscard]] std::size_t owned_offset(std::size_t g) const {
+    if (!owned_gids_.empty()) return find_sorted(owned_gids_, g);
+    return g - row_lo_ < n_owned_ ? g - row_lo_ : kNone;
+  }
+
   /// One neighbor's slice: `offset`/`count` index into the ghost array
   /// (recv peers) or into send_idx_ (send peers).
   struct Peer {
@@ -398,9 +417,10 @@ class HaloPlan {
 
   bool built_ = false;
   std::size_t n_owned_ = 0;
-  std::size_t row_lo_ = 0;
+  std::size_t row_lo_ = 0;                ///< contiguous maps: first gid
+  std::vector<std::size_t> owned_gids_;   ///< other maps: my gids, ascending
   std::size_t topo_fp_ = 0;
-  std::vector<std::size_t> ghost_gids_;  ///< sorted foreign columns
+  std::vector<std::size_t> ghost_gids_;  ///< foreign columns, (owner, gid)
   std::vector<Peer> recv_peers_;         ///< owners of my ghosts (asc. rank)
   std::vector<Peer> send_peers_;         ///< ranks ghosting my entries
   std::vector<std::size_t> send_idx_;    ///< owned offsets to pack, per peer

@@ -1,7 +1,6 @@
 #include "hpfcg/sparse/halo.hpp"
 
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -30,16 +29,6 @@ bool enabled() { return enabled_flag().load(std::memory_order_relaxed); }
 
 void set_enabled(bool on) {
   enabled_flag().store(on, std::memory_order_relaxed);
-}
-
-void warn_fallback_once() {
-  static std::atomic<bool> warned{false};
-  if (warned.exchange(true, std::memory_order_relaxed)) return;
-  std::fprintf(
-      stderr,
-      "hpfcg: halo executor requested but the row distribution is not "
-      "contiguous; falling back to the O(n) gather path (counted in "
-      "Stats::halo_fallbacks).\n");
 }
 
 }  // namespace hpfcg::sparse::halo

@@ -134,6 +134,96 @@ TEST(MgHierarchy, RejectsMismatchedDims) {
   });
 }
 
+/// Grid-transfer oracle: restriction is serial injection and prolongation
+/// its serial transpose scatter-add, bit for bit, on block maps and on
+/// uneven cut maps skewed in opposite directions (fine rows front-light,
+/// coarse rows front-heavy) so most coarse rows inject from another rank.
+class GridTransferTest : public ::testing::TestWithParam<int> {};
+
+constexpr std::array<std::size_t, 3> kTransferFine{8, 6, 4};
+constexpr std::array<std::size_t, 3> kTransferCoarse{4, 3, 2};
+
+std::size_t injected_fine_gid(std::size_t ic) {
+  const std::size_t cx = kTransferCoarse[0], cy = kTransferCoarse[1];
+  const std::size_t xc = ic % cx, yc = (ic / cx) % cy, zc = ic / (cx * cy);
+  return (2 * zc * kTransferFine[1] + 2 * yc) * kTransferFine[0] + 2 * xc;
+}
+
+/// Cut points r²/np² of n (front-light) or, mirrored, front-heavy.
+Distribution skewed_cuts(std::size_t n, int np, bool front_heavy) {
+  const auto unp = static_cast<std::size_t>(np);
+  std::vector<std::size_t> cuts(unp + 1);
+  for (std::size_t r = 0; r <= unp; ++r) {
+    cuts[r] = front_heavy ? n - n * (unp - r) * (unp - r) / (unp * unp)
+                          : n * r * r / (unp * unp);
+  }
+  return Distribution::from_cuts(n, std::move(cuts));
+}
+
+void check_transfer(int np, bool uneven) {
+  const std::size_t nf = kTransferFine[0] * kTransferFine[1] *
+                         kTransferFine[2];
+  const std::size_t nc = kTransferCoarse[0] * kTransferCoarse[1] *
+                         kTransferCoarse[2];
+  const auto fine_val = [](std::size_t g) {
+    return 0.1 * static_cast<double>(g) + 1.0 / static_cast<double>(g + 3);
+  };
+  const auto coarse_val = [](std::size_t g) {
+    return 1.0 / 7.0 - 0.3 * static_cast<double>(g);
+  };
+  std::vector<double> coarse_ref(nc), fine_ref(nf);
+  for (std::size_t g = 0; g < nf; ++g) fine_ref[g] = fine_val(g);
+  for (std::size_t ic = 0; ic < nc; ++ic) {
+    coarse_ref[ic] = fine_val(injected_fine_gid(ic));
+    fine_ref[injected_fine_gid(ic)] += coarse_val(ic);
+  }
+
+  const auto fine_dist = share(uneven ? skewed_cuts(nf, np, false)
+                                      : Distribution::block(nf, np));
+  const auto coarse_dist = share(uneven ? skewed_cuts(nc, np, true)
+                                        : Distribution::block(nc, np));
+  std::size_t remote_rows = 0;
+  for (std::size_t ic = 0; ic < nc; ++ic) {
+    if (fine_dist->owner(injected_fine_gid(ic)) != coarse_dist->owner(ic)) {
+      ++remote_rows;
+    }
+  }
+  if (np > 1 && uneven) {
+    EXPECT_GT(remote_rows, 0u) << "np=" << np;
+  }
+
+  run_spmd(np, [&](Process& proc) {
+    sv::GridTransfer t;
+    t.build(proc, kTransferFine, *fine_dist, kTransferCoarse, *coarse_dist);
+    DistributedVector<double> fine(proc, fine_dist), coarse(proc, coarse_dist);
+    fine.set_from(fine_val);
+    t.restrict_to(proc, fine.local(), coarse.local());
+    const auto restricted = coarse.to_global();
+    coarse.set_from(coarse_val);
+    t.prolong_add(proc, coarse.local(), fine.local());
+    const auto prolonged = fine.to_global();
+    for (std::size_t i = 0; i < nc; ++i) {
+      EXPECT_EQ(restricted[i], coarse_ref[i])
+          << "restrict np=" << np << " uneven=" << uneven << " row " << i;
+    }
+    for (std::size_t i = 0; i < nf; ++i) {
+      EXPECT_EQ(prolonged[i], fine_ref[i])
+          << "prolong np=" << np << " uneven=" << uneven << " row " << i;
+    }
+  });
+}
+
+TEST_P(GridTransferTest, BlockMapsMatchSerialInjectionAndTranspose) {
+  check_transfer(GetParam(), /*uneven=*/false);
+}
+
+TEST_P(GridTransferTest, UnevenCutMapsMatchSerialInjectionAndTranspose) {
+  check_transfer(GetParam(), /*uneven=*/true);
+}
+
+INSTANTIATE_TEST_SUITE_P(MachineSizes, GridTransferTest,
+                         ::testing::Values(1, 2, 3, 4, 8));
+
 class MultigridTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(MultigridTest, VcyclePcgMatchesSerialCgAndBeatsJacobiPcg) {

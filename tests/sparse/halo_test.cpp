@@ -1,15 +1,19 @@
 // HaloPlan inspector/executor: the ghost set must be exactly the union of
 // foreign columns (deduplicated), tiny problems with empty ranks and NP=1
 // must degenerate cleanly, the halo sweep must be bit-identical to the
-// legacy gather, redistribution must invalidate and rebuild the plan, and
-// the hoisted transpose scratch must allocate exactly once.
+// legacy gather, redistribution must invalidate and rebuild the plan, the
+// hoisted transpose scratch must allocate exactly once, and the plan must
+// serve non-contiguous (cyclic, block-cyclic, indirect) ownership maps.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "hpfcg/hpf/redistribute.hpp"
@@ -25,6 +29,7 @@ using hpfcg::hpf::DistributedVector;
 using hpfcg::msg::Process;
 using hpfcg::sparse::DistCsr;
 using hpfcg::sparse::DistCsrGrid2D;
+using hpfcg::sparse::HaloPlan;
 namespace halo = hpfcg::sparse::halo;
 using hpfcg_test::run_spmd;
 using hpfcg_test::test_machine_sizes;
@@ -315,5 +320,147 @@ TEST_P(HaloPlanTest, Grid2dHaloBitIdenticalToGroupGather) {
 
 INSTANTIATE_TEST_SUITE_P(MachineSizes, HaloPlanTest,
                          ::testing::ValuesIn(test_machine_sizes()));
+
+TEST(HaloToggle, ActiveForContiguousMapsAndOffWhenDisabled) {
+  const auto a = hpfcg::sparse::laplacian_2d(6, 6);
+  const std::size_t n = a.n_rows();
+  for (const bool use_halo : {true, false}) {
+    halo::ScopedEnable mode(use_halo);
+    run_spmd(3, [&](Process& proc) {
+      auto row_dist = share(Distribution::block(n, proc.nprocs()));
+      auto mat = DistCsr<double>::row_aligned(proc, a, row_dist);
+      DistributedVector<double> p(proc, row_dist), q(proc, row_dist);
+      p.set_from(pval);
+      mat.matvec(p, q);
+      EXPECT_EQ(mat.halo_active(), use_halo);
+    });
+  }
+}
+
+// ---- HaloPlan directly over non-contiguous ownership maps ----------------
+
+struct MapCase {
+  std::string kind;  ///< "cyclic" | "cyclic3" | "indirect"
+  int np = 1;
+};
+
+void PrintTo(const MapCase& c, std::ostream* os) {
+  *os << c.kind << "_np" << c.np;
+}
+
+Distribution make_map(const MapCase& c, std::size_t n) {
+  if (c.kind == "cyclic") return Distribution::cyclic(n, c.np);
+  if (c.kind == "cyclic3") return Distribution::cyclic_size(n, c.np, 3);
+  std::vector<int> owner(n);
+  for (std::size_t g = 0; g < n; ++g) {
+    owner[g] = static_cast<int>((g * g + 3 * g + 1) % 7 %
+                                static_cast<std::size_t>(c.np));
+  }
+  return Distribution::indirect(c.np, std::move(owner));
+}
+
+/// Each rank's column footprint: a strided sweep with duplicates, plus
+/// some of its own entries (which must not become ghosts).
+std::vector<std::size_t> footprint(int rank, std::size_t n) {
+  std::vector<std::size_t> cols;
+  const auto r = static_cast<std::size_t>(rank);
+  for (std::size_t k = 0; k < 2 * n / 3; ++k) {
+    cols.push_back((5 * r + 7 * k) % n);
+    cols.push_back((5 * r + 7 * k) % n);
+  }
+  return cols;
+}
+
+double ghost_partial(std::size_t g, int rank) {
+  return 1.0 / static_cast<double>(g + 2) + 0.125 * rank;
+}
+
+class HaloPlanMapTest : public ::testing::TestWithParam<MapCase> {};
+
+TEST_P(HaloPlanMapTest, ExchangeDeliversEachOwnersValue) {
+  const MapCase c = GetParam();
+  const std::size_t n = 61;
+  const Distribution dist = make_map(c, n);
+  run_spmd(c.np, [&](Process& proc) {
+    const int me = proc.rank();
+    const auto cols = footprint(me, n);
+    HaloPlan plan;
+    plan.build(proc, cols, dist);
+    ASSERT_EQ(plan.n_owned(), dist.local_count(me));
+
+    // Ghosts: exactly the foreign footprint, ordered by (owner, gid).
+    std::set<std::pair<int, std::size_t>> expect;
+    for (const std::size_t g : cols) {
+      if (dist.owner(g) != me) expect.insert({dist.owner(g), g});
+    }
+    std::vector<std::size_t> expect_gids;
+    for (const auto& [r, g] : expect) expect_gids.push_back(g);
+    EXPECT_EQ(plan.ghost_gids(), expect_gids);
+
+    std::vector<double> owned(plan.n_owned());
+    for (std::size_t li = 0; li < owned.size(); ++li) {
+      owned[li] = pval(dist.global_index(me, li));
+    }
+    std::vector<double> buf(owned);
+    buf.resize(plan.n_owned() + plan.n_ghosts());
+    std::vector<double> pack;
+    plan.exchange<double>(proc, owned,
+                          std::span<double>(buf).subspan(plan.n_owned()),
+                          pack);
+    for (const std::size_t g : cols) {
+      EXPECT_EQ(buf[plan.local_index(g)], pval(g)) << c.kind << " gid " << g;
+    }
+  });
+}
+
+TEST_P(HaloPlanMapTest, AccumulateMatchesSerialScatterAdd) {
+  const MapCase c = GetParam();
+  const std::size_t n = 61;
+  const Distribution dist = make_map(c, n);
+  // Serial reference: each rank's ghost partials added into the owner's
+  // entry, in ascending source-rank order.
+  std::vector<double> ref(n);
+  for (std::size_t g = 0; g < n; ++g) ref[g] = pval(g);
+  for (int r = 0; r < c.np; ++r) {
+    std::set<std::size_t> ghosts;
+    for (const std::size_t g : footprint(r, n)) {
+      if (dist.owner(g) != r) ghosts.insert(g);
+    }
+    for (const std::size_t g : ghosts) ref[g] += ghost_partial(g, r);
+  }
+  run_spmd(c.np, [&](Process& proc) {
+    const int me = proc.rank();
+    HaloPlan plan;
+    plan.build(proc, footprint(me, n), dist);
+    std::vector<double> partials;
+    for (const std::size_t g : plan.ghost_gids()) {
+      partials.push_back(ghost_partial(g, me));
+    }
+    std::vector<double> owned(plan.n_owned());
+    for (std::size_t li = 0; li < owned.size(); ++li) {
+      owned[li] = pval(dist.global_index(me, li));
+    }
+    std::vector<double> pack;
+    plan.accumulate<double>(proc, partials, owned, pack);
+    for (std::size_t li = 0; li < owned.size(); ++li) {
+      const std::size_t g = dist.global_index(me, li);
+      EXPECT_EQ(owned[li], ref[g]) << c.kind << " gid " << g;
+    }
+  });
+}
+
+std::vector<MapCase> map_cases() {
+  std::vector<MapCase> cases;
+  for (const char* kind : {"cyclic", "cyclic3", "indirect"}) {
+    for (const int np : {2, 3, 4}) cases.push_back({kind, np});
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    NonContiguousMaps, HaloPlanMapTest, ::testing::ValuesIn(map_cases()),
+    [](const ::testing::TestParamInfo<MapCase>& info) {
+      return info.param.kind + "_np" + std::to_string(info.param.np);
+    });
 
 }  // namespace
