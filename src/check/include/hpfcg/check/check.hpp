@@ -25,14 +25,16 @@
 // simulated network, so Stats counters (messages/bytes/flops, modeled
 // times) are bit-identical whether checking is enabled or not.
 //
-// Enablement is two-level:
+// Enablement is two-level (util/knob.hpp):
 //   compile time — CMake option HPFCG_CHECK (ON by default) defines
 //     HPFCG_CHECK_ENABLED; OFF removes every hook from the binary;
-//   run time — environment variable HPFCG_CHECK=1|on|true (sampled once),
-//     or programmatic set_enabled() (tests, benches).  A msg::Runtime
-//     samples the flag at construction.
+//   run time — environment variable HPFCG_CHECK (parsed once, strictly),
+//     or a ScopedEnable override (tests, benches).  A msg::Runtime samples
+//     the flag at construction.
 
 #include <cstdint>
+
+#include "hpfcg/util/knob.hpp"
 
 namespace hpfcg::check {
 
@@ -43,32 +45,21 @@ inline constexpr bool kCompiled = true;
 inline constexpr bool kCompiled = false;
 #endif
 
-#ifdef HPFCG_CHECK_ENABLED
-/// Runtime switch: env HPFCG_CHECK (parsed once) or set_enabled().
-[[nodiscard]] bool enabled();
-void set_enabled(bool on);
+/// Runtime switch: env HPFCG_CHECK.
+inline constinit util::Knob<bool> enabled_knob{"HPFCG_CHECK", false};
 
-/// Watchdog no-progress timeout in milliseconds (env HPFCG_CHECK_TIMEOUT_MS,
-/// default 20000).  Settable programmatically for deadlock tests.
-[[nodiscard]] std::int64_t watchdog_timeout_ms();
-void set_watchdog_timeout_ms(std::int64_t ms);
-#else
-[[nodiscard]] inline constexpr bool enabled() { return false; }
-inline void set_enabled(bool) {}
-[[nodiscard]] inline constexpr std::int64_t watchdog_timeout_ms() { return 0; }
-inline void set_watchdog_timeout_ms(std::int64_t) {}
-#endif
+/// Watchdog no-progress timeout in milliseconds: env HPFCG_CHECK_TIMEOUT_MS,
+/// default 20000.  Deadlock tests shorten it with a ScopedKnob.
+inline constinit util::Knob<std::int64_t> timeout_knob{
+    "HPFCG_CHECK_TIMEOUT_MS", 20000, 1};
+
+[[nodiscard]] inline bool enabled() { return kCompiled && enabled_knob.get(); }
+
+[[nodiscard]] inline std::int64_t watchdog_timeout_ms() {
+  return kCompiled ? timeout_knob.get() : 0;
+}
 
 /// RAII enable/disable for tests: restores the previous state on scope exit.
-class ScopedEnable {
- public:
-  explicit ScopedEnable(bool on = true) : prev_(enabled()) { set_enabled(on); }
-  ScopedEnable(const ScopedEnable&) = delete;
-  ScopedEnable& operator=(const ScopedEnable&) = delete;
-  ~ScopedEnable() { set_enabled(prev_); }
-
- private:
-  bool prev_;
-};
+using ScopedEnable = util::ScopedKnob<enabled_knob>;
 
 }  // namespace hpfcg::check

@@ -22,6 +22,9 @@ Runtime::Runtime(int nprocs, CostParams params, Topology topo)
   }
   if (check::kCompiled && check::enabled()) {
     checker_ = std::make_unique<check::Harness>(nprocs);
+    // Parse HPFCG_CHECK_TIMEOUT_MS here, where a bad value throws to the
+    // caller, rather than first inside the watchdog thread.
+    (void)check::watchdog_timeout_ms();
   }
   if (trace::kCompiled && trace::enabled()) {
     tracer_ = std::make_unique<trace::Session>(nprocs, trace::ring_capacity());

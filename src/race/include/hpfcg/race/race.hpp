@@ -35,14 +35,16 @@
 //     bench_race_overhead);
 //   * hot path — one null-pointer branch per send/receive when disabled.
 //
-// Enablement is two-level:
+// Enablement is two-level (util/knob.hpp):
 //   compile time — CMake option HPFCG_RACE (ON by default) defines
 //     HPFCG_RACE_ENABLED; OFF removes every hook from the binary;
-//   run time — environment variable HPFCG_RACE=1|on|true (sampled once) or
-//     set_enabled(); replay via HPFCG_RACE_SEED or set_replay_seed().
+//   run time — environment variable HPFCG_RACE (parsed once, strictly) or a
+//     ScopedEnable override; replay via HPFCG_RACE_SEED or ScopedReplaySeed.
 //     A msg::Runtime samples both at construction, like the check harness.
 
 #include <cstdint>
+
+#include "hpfcg/util/knob.hpp"
 
 namespace hpfcg::race {
 
@@ -53,47 +55,24 @@ inline constexpr bool kCompiled = true;
 inline constexpr bool kCompiled = false;
 #endif
 
-#ifdef HPFCG_RACE_ENABLED
-/// Runtime switch: env HPFCG_RACE (parsed once) or set_enabled().
-[[nodiscard]] bool enabled();
-void set_enabled(bool on);
+/// Runtime switch: env HPFCG_RACE.
+inline constinit util::Knob<bool> enabled_knob{"HPFCG_RACE", false};
 
 /// Schedule-perturbation seed: 0 (default) keeps the mailbox's oldest-first
 /// any-source delivery; nonzero seeds the adversarial permutation.  Env
-/// HPFCG_RACE_SEED or set_replay_seed().
-[[nodiscard]] std::uint64_t replay_seed();
-void set_replay_seed(std::uint64_t seed);
-#else
-[[nodiscard]] inline constexpr bool enabled() { return false; }
-inline void set_enabled(bool) {}
-[[nodiscard]] inline constexpr std::uint64_t replay_seed() { return 0; }
-inline void set_replay_seed(std::uint64_t) {}
-#endif
+/// HPFCG_RACE_SEED.
+inline constinit util::Knob<std::uint64_t> seed_knob{"HPFCG_RACE_SEED", 0};
+
+[[nodiscard]] inline bool enabled() { return kCompiled && enabled_knob.get(); }
+
+[[nodiscard]] inline std::uint64_t replay_seed() {
+  return kCompiled ? seed_knob.get() : 0;
+}
 
 /// RAII enable/disable for tests: restores the previous state on scope exit.
-class ScopedEnable {
- public:
-  explicit ScopedEnable(bool on = true) : prev_(enabled()) { set_enabled(on); }
-  ScopedEnable(const ScopedEnable&) = delete;
-  ScopedEnable& operator=(const ScopedEnable&) = delete;
-  ~ScopedEnable() { set_enabled(prev_); }
-
- private:
-  bool prev_;
-};
+using ScopedEnable = util::ScopedKnob<enabled_knob>;
 
 /// RAII replay-seed override for tests and the replay harness.
-class ScopedReplaySeed {
- public:
-  explicit ScopedReplaySeed(std::uint64_t seed) : prev_(replay_seed()) {
-    set_replay_seed(seed);
-  }
-  ScopedReplaySeed(const ScopedReplaySeed&) = delete;
-  ScopedReplaySeed& operator=(const ScopedReplaySeed&) = delete;
-  ~ScopedReplaySeed() { set_replay_seed(prev_); }
-
- private:
-  std::uint64_t prev_;
-};
+using ScopedReplaySeed = util::ScopedKnob<seed_knob>;
 
 }  // namespace hpfcg::race

@@ -22,13 +22,15 @@
 //     Stats::repro_reductions / repro_values counters and record
 //     kReproMerge trace spans, so the overhead is measurable, not guessed.
 //
-// Enablement is two-level:
+// Enablement is two-level (util/knob.hpp):
 //   compile time — CMake option HPFCG_REPRO (ON by default) defines
 //     HPFCG_REPRO_ENABLED; OFF removes the re-routing branches;
-//   run time — environment variable HPFCG_REPRO=1|on|true (sampled once)
-//     or set_enabled().  A msg::Runtime samples the flag at construction,
-//     like the check harness, so all ranks of a machine agree on the
-//     collective shapes for the machine's whole lifetime.
+//   run time — environment variable HPFCG_REPRO (parsed once, strictly) or
+//     a ScopedEnable override.  A msg::Runtime samples the flag at
+//     construction, like the check harness, so all ranks of a machine agree
+//     on the collective shapes for the machine's whole lifetime.
+
+#include "hpfcg/util/knob.hpp"
 
 namespace hpfcg::repro {
 
@@ -39,25 +41,12 @@ inline constexpr bool kCompiled = true;
 inline constexpr bool kCompiled = false;
 #endif
 
-#ifdef HPFCG_REPRO_ENABLED
-/// Runtime switch: env HPFCG_REPRO (parsed once) or set_enabled().
-[[nodiscard]] bool enabled();
-void set_enabled(bool on);
-#else
-[[nodiscard]] inline constexpr bool enabled() { return false; }
-inline void set_enabled(bool) {}
-#endif
+/// Runtime switch: env HPFCG_REPRO.
+inline constinit util::Knob<bool> enabled_knob{"HPFCG_REPRO", false};
+
+[[nodiscard]] inline bool enabled() { return kCompiled && enabled_knob.get(); }
 
 /// RAII enable/disable for tests: restores the previous state on scope exit.
-class ScopedEnable {
- public:
-  explicit ScopedEnable(bool on = true) : prev_(enabled()) { set_enabled(on); }
-  ScopedEnable(const ScopedEnable&) = delete;
-  ScopedEnable& operator=(const ScopedEnable&) = delete;
-  ~ScopedEnable() { set_enabled(prev_); }
-
- private:
-  bool prev_;
-};
+using ScopedEnable = util::ScopedKnob<enabled_knob>;
 
 }  // namespace hpfcg::repro

@@ -60,28 +60,22 @@
 #include "hpfcg/msg/process.hpp"
 #include "hpfcg/trace/span.hpp"
 #include "hpfcg/util/error.hpp"
+#include "hpfcg/util/knob.hpp"
 
 namespace hpfcg::sparse {
 
 namespace halo {
 
 /// Runtime switch for the halo executor, sampled by each DistCsr at its
-/// first sweep: env HPFCG_HALO (default ON; 0|off|false selects the legacy
-/// O(n) gather for A/B comparisons) or programmatic set_enabled().
-[[nodiscard]] bool enabled();
-void set_enabled(bool on);
+/// first sweep: env HPFCG_HALO.  Opt-out, not opt-in: the executor is the
+/// production path; the legacy O(n) gather survives behind HPFCG_HALO=0 for
+/// A/B byte comparisons.
+inline constinit util::Knob<bool> enabled_knob{"HPFCG_HALO", true};
+
+[[nodiscard]] inline bool enabled() { return enabled_knob.get(); }
 
 /// RAII enable/disable for tests and benches: restores the previous state.
-class ScopedEnable {
- public:
-  explicit ScopedEnable(bool on = true) : prev_(enabled()) { set_enabled(on); }
-  ScopedEnable(const ScopedEnable&) = delete;
-  ScopedEnable& operator=(const ScopedEnable&) = delete;
-  ~ScopedEnable() { set_enabled(prev_); }
-
- private:
-  bool prev_;
-};
+using ScopedEnable = util::ScopedKnob<enabled_knob>;
 
 }  // namespace halo
 

@@ -19,14 +19,16 @@
 //     enabled, a span is two steady_clock reads and one store into a
 //     preallocated ring (no locks, no allocation after init).
 //
-// Enablement is two-level:
+// Enablement is two-level (util/knob.hpp):
 //   compile time — CMake option HPFCG_TRACE (ON by default) defines
 //     HPFCG_TRACE_ENABLED; OFF removes every hook from the binary;
-//   run time — environment variable HPFCG_TRACE=1|on|true (sampled once),
-//     or programmatic set_enabled() (tests, benches).  A msg::Runtime
-//     samples the flag at construction, like the check harness.
+//   run time — environment variable HPFCG_TRACE (parsed once, strictly),
+//     or a ScopedEnable override (tests, benches).  A msg::Runtime samples
+//     the flag at construction, like the check harness.
 
 #include <cstddef>
+
+#include "hpfcg/util/knob.hpp"
 
 namespace hpfcg::trace {
 
@@ -37,33 +39,22 @@ inline constexpr bool kCompiled = true;
 inline constexpr bool kCompiled = false;
 #endif
 
-#ifdef HPFCG_TRACE_ENABLED
-/// Runtime switch: env HPFCG_TRACE (parsed once) or set_enabled().
-[[nodiscard]] bool enabled();
-void set_enabled(bool on);
+/// Runtime switch: env HPFCG_TRACE.
+inline constinit util::Knob<bool> enabled_knob{"HPFCG_TRACE", false};
 
 /// Per-rank span ring capacity (env HPFCG_TRACE_CAPACITY, default 65536
 /// spans ≈ 2.5 MiB/rank).  Sampled when a Session is constructed; when the
 /// ring wraps, the oldest spans are overwritten and counted as dropped.
-[[nodiscard]] std::size_t ring_capacity();
-void set_ring_capacity(std::size_t spans);
-#else
-[[nodiscard]] inline constexpr bool enabled() { return false; }
-inline void set_enabled(bool) {}
-[[nodiscard]] inline constexpr std::size_t ring_capacity() { return 0; }
-inline void set_ring_capacity(std::size_t) {}
-#endif
+inline constinit util::Knob<std::size_t> capacity_knob{
+    "HPFCG_TRACE_CAPACITY", std::size_t{1} << 16, 1};
+
+[[nodiscard]] inline bool enabled() { return kCompiled && enabled_knob.get(); }
+
+[[nodiscard]] inline std::size_t ring_capacity() {
+  return kCompiled ? capacity_knob.get() : 0;
+}
 
 /// RAII enable/disable for tests: restores the previous state on scope exit.
-class ScopedEnable {
- public:
-  explicit ScopedEnable(bool on = true) : prev_(enabled()) { set_enabled(on); }
-  ScopedEnable(const ScopedEnable&) = delete;
-  ScopedEnable& operator=(const ScopedEnable&) = delete;
-  ~ScopedEnable() { set_enabled(prev_); }
-
- private:
-  bool prev_;
-};
+using ScopedEnable = util::ScopedKnob<enabled_knob>;
 
 }  // namespace hpfcg::trace

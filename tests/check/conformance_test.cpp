@@ -145,13 +145,11 @@ TEST(CheckCollectiveConformance, ConformingProgramsPassUntouched) {
 // ---- deadlock watchdog -------------------------------------------------
 
 TEST(CheckWatchdog, CrossedReceivesDiagnosedNotHung) {
-  const auto saved = check::watchdog_timeout_ms();
-  check::set_watchdog_timeout_ms(250);
+  hpfcg::util::ScopedKnob<check::timeout_knob> fast_watchdog(250);
   const std::string msg = failure_message(2, [](Process& p) {
     // Classic deadlock: both ranks receive first, nobody has sent.
     (void)p.recv_value<int>(1 - p.rank(), /*tag=*/9);
   });
-  check::set_watchdog_timeout_ms(saved);
   EXPECT_NE(msg.find("suspected deadlock"), std::string::npos) << msg;
   EXPECT_NE(msg.find("rank 0: blocked in recv(src=1, tag=9)"),
             std::string::npos)

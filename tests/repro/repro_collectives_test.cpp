@@ -165,7 +165,7 @@ TEST_P(ReproCollectivesTest, RuntimeSamplesTheFlagAtConstruction) {
   repro::ScopedEnable on;
   auto rt = std::make_unique<hpfcg::msg::Runtime>(np);
   // Flipping the global mid-machine must not change this machine.
-  repro::set_enabled(false);
+  repro::ScopedEnable off(false);
   EXPECT_TRUE(rt->repro_active());
   rt->run([](Process& p) {
     EXPECT_TRUE(p.repro_active());

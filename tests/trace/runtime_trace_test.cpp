@@ -272,12 +272,10 @@ TEST(RuntimeTrace, StatsBitIdenticalWithTracingOnAndOff) {
 TEST(RuntimeTrace, RingCapacityIsRespectedAndDropsAreCounted) {
   if (!trace::kCompiled) GTEST_SKIP() << "tracing compiled out";
   trace::ScopedEnable on(true);
-  const std::size_t prev = trace::ring_capacity();
-  trace::set_ring_capacity(8);
+  hpfcg::util::ScopedKnob<trace::capacity_knob> small_ring(8);
   auto rt = run_spmd(2, [](Process& p) {
     for (int i = 0; i < 100; ++i) p.barrier();
   });
-  trace::set_ring_capacity(prev);
   ASSERT_NE(rt->tracer(), nullptr);
   const auto& t = rt->tracer()->rank(0);
   EXPECT_EQ(t.capacity(), 8u);

@@ -1,14 +1,19 @@
 // Utility layer: RNG determinism, span kernels, table formatting, string
-// helpers, CLI parsing, error machinery.
+// helpers, CLI parsing, error machinery, runtime knobs.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "hpfcg/util/cli.hpp"
 #include "hpfcg/util/error.hpp"
+#include "hpfcg/util/knob.hpp"
 #include "hpfcg/util/rng.hpp"
 #include "hpfcg/util/span_math.hpp"
 #include "hpfcg/util/str.hpp"
@@ -152,6 +157,129 @@ TEST(Error, RequireThrowsWithContext) {
     EXPECT_NE(what.find("1 == 2"), std::string::npos);
     EXPECT_NE(what.find("math broke"), std::string::npos);
   }
+}
+
+// ---- runtime knobs -----------------------------------------------------
+
+// One row per (variable, text): `want` is the parsed value as text, or ""
+// when the text must be rejected.  Each variable is parsed with the type
+// and minimum its knob declares.
+struct KnobCase {
+  const char* var;
+  const char* text;
+  const char* want;
+};
+
+std::string parse_as_knob(const std::string& var, const char* text) {
+  if (var == "HPFCG_CHECK_TIMEOUT_MS") {
+    return std::to_string(u::parse_knob<std::int64_t>(var, text, 1));
+  }
+  if (var == "HPFCG_TRACE_CAPACITY") {
+    return std::to_string(u::parse_knob<std::size_t>(var, text, 1));
+  }
+  if (var == "HPFCG_RACE_SEED") {
+    return std::to_string(u::parse_knob<std::uint64_t>(var, text));
+  }
+  return u::parse_knob<bool>(var, text) ? "on" : "off";
+}
+
+const KnobCase kKnobCases[] = {
+    {"HPFCG_CHECK", "1", "on"},
+    {"HPFCG_TRACE", "ON", "on"},
+    {"HPFCG_RACE", "True", "on"},
+    {"HPFCG_REPRO", "yes", "on"},
+    {"HPFCG_HALO", "On", "on"},  // read as off (O(n) gather) before strict parsing
+    {"HPFCG_CHECK", "0", "off"},
+    {"HPFCG_TRACE", "off", "off"},
+    {"HPFCG_REPRO", "No", "off"},
+    {"HPFCG_HALO", "banana", ""},
+    {"HPFCG_CHECK", "", ""},
+    {"HPFCG_TRACE", " 1", ""},
+    {"HPFCG_RACE", "2", ""},
+    {"HPFCG_CHECK_TIMEOUT_MS", "250", "250"},
+    {"HPFCG_CHECK_TIMEOUT_MS", "5s", ""},  // was a 5 ms watchdog
+    {"HPFCG_CHECK_TIMEOUT_MS", "abc", ""},
+    {"HPFCG_CHECK_TIMEOUT_MS", "-5", ""},
+    {"HPFCG_CHECK_TIMEOUT_MS", "0", ""},
+    {"HPFCG_TRACE_CAPACITY", "8", "8"},
+    {"HPFCG_TRACE_CAPACITY", "64k", ""},  // was 64 spans
+    {"HPFCG_TRACE_CAPACITY", "0", ""},
+    {"HPFCG_RACE_SEED", "0", "0"},
+    {"HPFCG_RACE_SEED", "18446744073709551615", "18446744073709551615"},
+    {"HPFCG_RACE_SEED", "-1", ""},  // was wrapped to 2^64-1, arming replay
+    {"HPFCG_RACE_SEED", "abc", ""},  // was silently 0
+    {"HPFCG_RACE_SEED", "18446744073709551616", ""},
+};
+
+class ParseKnob : public ::testing::TestWithParam<KnobCase> {};
+
+TEST_P(ParseKnob, AcceptsOrRejectsNamingVariableAndValue) {
+  const KnobCase& c = GetParam();
+  if (*c.want != '\0') {
+    EXPECT_EQ(parse_as_knob(c.var, c.text), c.want);
+    return;
+  }
+  try {
+    const std::string got = parse_as_knob(c.var, c.text);
+    FAIL() << c.var << "=\"" << c.text << "\" accepted as " << got;
+  } catch (const u::Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(std::string(c.var) + "=\"" + c.text + "\""),
+              std::string::npos)
+        << what;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Table, ParseKnob, ::testing::ValuesIn(kKnobCases));
+
+// The env-parsing tests build a fresh knob each run (a knob parses once per
+// lifetime), with a default opposite to what they set, so a read that
+// ignored the environment would fail.
+TEST(Knob, ParsesEnvOnFirstUseOnly) {
+  u::Knob<bool> halo{"HPFCG_HALO", false};
+  ::setenv("HPFCG_HALO", "On", 1);
+  EXPECT_TRUE(halo.get());
+  ::setenv("HPFCG_HALO", "0", 1);
+  EXPECT_TRUE(halo.get()) << "parsed on first use only";
+  ::unsetenv("HPFCG_HALO");
+}
+
+TEST(Knob, BadEnvValueThrowsUntilFixed) {
+  u::Knob<std::int64_t> timeout{"HPFCG_CHECK_TIMEOUT_MS", 20000, 1};
+  ::setenv("HPFCG_CHECK_TIMEOUT_MS", "5s", 1);
+  EXPECT_THROW((void)timeout.get(), u::Error);
+  EXPECT_THROW((void)timeout.get(), u::Error);
+  ::unsetenv("HPFCG_CHECK_TIMEOUT_MS");
+  EXPECT_EQ(timeout.get(), 20000);
+}
+
+// A ScopedKnob names its knob as a template argument, so these need static
+// storage; the variable names are never set.
+constinit u::Knob<bool> test_bool_knob{"HPFCG_UTIL_TEST_BOOL", true};
+constinit u::Knob<std::int64_t> test_int_knob{"HPFCG_UTIL_TEST_INT", 20000, 1};
+
+TEST(Knob, ScopedOverrideRestoresOnExitAndUnwind) {
+  {
+    u::ScopedKnob<test_bool_knob> off(false);
+    EXPECT_FALSE(test_bool_knob.get());
+    {
+      u::ScopedKnob<test_bool_knob> on;  // a bool override defaults to on
+      EXPECT_TRUE(test_bool_knob.get());
+    }
+    EXPECT_FALSE(test_bool_knob.get());
+  }
+  EXPECT_TRUE(test_bool_knob.get());
+  try {
+    u::ScopedKnob<test_bool_knob> off(false);
+    throw std::runtime_error("test body failed");
+  } catch (const std::runtime_error&) {
+  }
+  EXPECT_TRUE(test_bool_knob.get()) << "override leaked past an exception";
+}
+
+TEST(Knob, OverrideBelowMinimumThrowsAndChangesNothing) {
+  EXPECT_THROW(u::ScopedKnob<test_int_knob> zero(0), u::Error);
+  EXPECT_EQ(test_int_knob.get(), 20000);
 }
 
 TEST(Timer, MeasuresElapsedTime) {
