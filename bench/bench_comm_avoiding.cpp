@@ -118,7 +118,6 @@ RunTotals run_once(Variant variant, std::size_t n, int np,
     auto dist = std::make_shared<const Distribution>(
         Distribution::block(n, proc.nprocs()));
     auto mat = sp::DistCsr<double>::row_aligned(proc, a, dist);
-    mat.enable_caching();
     DistributedVector<double> b(proc, dist), x(proc, dist),
         inv_diag(proc, dist);
     b.from_global(b_full);

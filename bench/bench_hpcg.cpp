@@ -80,7 +80,6 @@ Solve run_pcg(std::array<std::size_t, 3> dims,
   auto rt = hpfcg_bench::run_machine(np, [&](Process& proc) {
     auto dist = share(Distribution::block(a.n_rows(), proc.nprocs()));
     auto mat = sp::DistCsr<double>::row_aligned(proc, a, dist);
-    mat.enable_caching();
     mat.prepare_halo();
     DistributedVector<double> b(proc, dist), x(proc, dist);
     b.from_global(b_full);

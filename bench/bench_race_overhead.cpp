@@ -58,7 +58,6 @@ void cg_shaped_body(Process& p, std::size_t n, int iters) {
       Distribution::block(n, p.nprocs()));
   const auto a = sp::tridiagonal(n, 2.0, -1.0);
   auto A = sp::DistCsr<double>::row_aligned(p, a, dist);
-  A.enable_caching();
   DistributedVector<double> x(p, dist), q(p, dist);
   x.set_from([](std::size_t g) { return static_cast<double>(g % 13); });
   for (int it = 0; it < iters; ++it) {

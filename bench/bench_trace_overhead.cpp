@@ -48,7 +48,6 @@ Run measure(int np, bool trace_on) {
         Distribution::block(n, p.nprocs()));
     const auto a = hpfcg::sparse::tridiagonal(n, 2.0, -1.0);
     auto A = hpfcg::sparse::DistCsr<double>::row_aligned(p, a, dist);
-    A.enable_caching();
     DistributedVector<double> x(p, dist), q(p, dist);
     x.set_from([](std::size_t g) { return static_cast<double>(g % 13); });
     for (int it = 0; it < iters; ++it) {

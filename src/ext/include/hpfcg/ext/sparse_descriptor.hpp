@@ -61,7 +61,6 @@ class SparseMatrixCsr {
     auto migrated = sparse::redistribute(*dist_, part_.atom_dist->cuts(),
                                          &last_migration_);
     dist_ = std::make_unique<sparse::DistCsr<T>>(std::move(migrated));
-    dist_->enable_caching();
     part_.atom_dist = dist_->row_dist_ptr();
     part_.nnz_dist = dist_->nnz_dist_ptr();
     active_ = which;

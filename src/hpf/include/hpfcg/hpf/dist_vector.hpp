@@ -152,11 +152,18 @@ class DistributedVector {
   std::vector<T> local_;
 };
 
+/// True when `v` is distributed by `d`'s element→rank mapping.  A shared
+/// handle (the ALIGN case) answers at once; otherwise the maps are compared.
+template <class T>
+bool is_aligned(const DistributedVector<T>& v, const DistPtr& d) {
+  return v.dist_ptr() == d || v.dist() == *d;
+}
+
 /// True when two vectors share an identical element→rank mapping (the HPF
 /// alignment property that makes element-wise ops communication-free).
 template <class T>
 bool is_aligned(const DistributedVector<T>& a, const DistributedVector<T>& b) {
-  return a.dist_ptr() == b.dist_ptr() || a.dist() == b.dist();
+  return is_aligned(a, b.dist_ptr());
 }
 
 }  // namespace hpfcg::hpf

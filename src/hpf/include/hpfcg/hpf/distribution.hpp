@@ -95,6 +95,8 @@ class Distribution {
   [[nodiscard]] std::string name() const;
 
   /// Two distributions are equal iff they map every index identically.
+  /// O(NP) unless one side is indirect or the kinds differ without both
+  /// being contiguous; then O(n).
   bool operator==(const Distribution& o) const;
 
  private:

@@ -256,7 +256,18 @@ std::string Distribution::name() const {
 }
 
 bool Distribution::operator==(const Distribution& o) const {
-  if (n_ != o.n_ || np_ != o.np_) return false;
+  if (this == &o) return true;
+  // Equal maps give every rank the same element count, so counts_ is an
+  // O(NP) necessary condition — and a sufficient one for two contiguous
+  // maps, which the counts determine completely.
+  if (n_ != o.n_ || np_ != o.np_ || counts_ != o.counts_) return false;
+  if (contiguous() && o.contiguous()) return true;
+  // One regular kind with one block size is one map (kBlock and kBlockK
+  // are contiguous, handled above).
+  if (kind_ == o.kind_ && kind_ != Kind::kIndirect && k_ == o.k_) return true;
+  // Indirect maps and mixed pairs (CYCLIC vs CYCLIC(1), degenerate
+  // CYCLIC(k) with n <= k vs BLOCK, ...) may still coincide: compare
+  // element-wise.
   for (std::size_t i = 0; i < n_; ++i) {
     if (owner(i) != o.owner(i) || local_index(i) != o.local_index(i)) {
       return false;

@@ -107,9 +107,9 @@ class GridTransfer {
 /// place, so after a migration only migrate_fine() is needed.
 class MgPreconditioner {
  public:
-  /// Collective setup: builds the level hierarchy (coarse operators with
-  /// caching + warm halo plans, smoother diagonals, transfer schedules,
-  /// scratch).  `fine_dims` are the grid extents with
+  /// Collective setup: builds the level hierarchy (row-aligned coarse
+  /// operators with warm halo plans, smoother diagonals, transfer
+  /// schedules, scratch).  `fine_dims` are the grid extents with
   /// fine.n() == nx*ny*nz; the fine distribution must be contiguous.
   MgPreconditioner(msg::Process& proc, sparse::DistCsr<double>& fine,
                    std::array<std::size_t, 3> fine_dims,

@@ -113,12 +113,11 @@ MgPreconditioner::MgPreconditioner(msg::Process& proc,
         hpf::Distribution::block(cn, proc.nprocs()));
     // Geometric coarse operator: the same 27-point stencil on the halved
     // grid, built replicated (the DistCsr constructor conforms a content
-    // fingerprint under checking) and cached — the descriptor trio of a
-    // level never changes.
+    // fingerprint under checking) and row-aligned, so its sweeps read the
+    // owned (col, a) slice directly.
     const sparse::Csr<double> ac = sparse::stencil27_3d(cd[0], cd[1], cd[2]);
     lc.owned_op = std::make_unique<sparse::DistCsr<double>>(
         sparse::DistCsr<double>::row_aligned(proc, ac, lc.dist));
-    lc.owned_op->enable_caching();
     lc.owned_op->prepare_halo();
     lc.op = lc.owned_op.get();
     lc.r = std::make_unique<hpf::DistributedVector<double>>(proc, lc.dist);

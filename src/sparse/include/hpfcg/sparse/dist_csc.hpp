@@ -34,7 +34,7 @@ class DistCsc {
         col_dist_(std::move(col_dist)),
         nnz_dist_(std::move(nnz_dist)),
         n_(a.n_cols()),
-        plan_(proc, a.col_ptr(), *col_dist_, *nnz_dist_) {
+        nnz_(NnzExchangePlan(proc, a.col_ptr(), *col_dist_, *nnz_dist_)) {
     HPFCG_REQUIRE(a.n_rows() == a.n_cols(),
                   "DistCsc: square matrices only (CG context)");
     HPFCG_REQUIRE(col_dist_->size() == n_, "DistCsc: col dist size mismatch");
@@ -46,33 +46,14 @@ class DistCsc {
                     a.col_ptr().begin() + static_cast<std::ptrdiff_t>(col_hi) +
                         1);
 
-    const auto own = plan_.owned();
-    row_o_.assign(a.row_idx().begin() + static_cast<std::ptrdiff_t>(own.begin),
-                  a.row_idx().begin() + static_cast<std::ptrdiff_t>(own.end));
-    val_o_.assign(a.values().begin() + static_cast<std::ptrdiff_t>(own.begin),
-                  a.values().begin() + static_cast<std::ptrdiff_t>(own.end));
-
-    const auto need = plan_.needed();
-    row_w_.assign(need.size(), 0);
-    val_w_.assign(need.size(), T{});
+    nnz_.set_owned_from(a.row_idx(), a.values());
   }
 
   /// Atom-aligned build (ATOM:BLOCK over columns): nnz cuts follow the
   /// column cuts, every column lives wholly with its owner.
   static DistCsc col_aligned(msg::Process& proc, const Csc<T>& a,
                              hpf::DistPtr col_dist) {
-    HPFCG_REQUIRE(col_dist->contiguous(),
-                  "col_aligned: column distribution must be contiguous");
-    std::vector<std::size_t> cuts(static_cast<std::size_t>(col_dist->nprocs()) +
-                                  1);
-    for (int r = 0; r <= col_dist->nprocs(); ++r) {
-      const std::size_t col_cut =
-          r == col_dist->nprocs() ? a.n_cols()
-                                  : col_dist->local_range(r).first;
-      cuts[static_cast<std::size_t>(r)] = a.col_ptr()[col_cut];
-    }
-    auto nnz_dist = std::make_shared<const hpf::Distribution>(
-        hpf::Distribution::from_cuts(a.nnz(), std::move(cuts)));
+    auto nnz_dist = atom_aligned_nnz_dist(a.col_ptr(), *col_dist);
     return DistCsc(proc, a, std::move(col_dist), std::move(nnz_dist));
   }
 
@@ -83,10 +64,14 @@ class DistCsc {
   }
   [[nodiscard]] const hpf::DistPtr& col_dist_ptr() const { return col_dist_; }
   [[nodiscard]] std::size_t local_cols() const { return col_ptr_.size() - 1; }
-  [[nodiscard]] std::size_t local_nnz() const { return val_o_.size(); }
-  [[nodiscard]] std::size_t remote_nnz() const { return plan_.remote_nnz(); }
+  [[nodiscard]] std::size_t local_nnz() const {
+    return nnz_.owned_val().size();
+  }
+  [[nodiscard]] std::size_t remote_nnz() const {
+    return nnz_.plan().remote_nnz();
+  }
 
-  void enable_caching() { caching_ = true; }
+  void enable_caching() { nnz_.enable_caching(); }
 
   /// q = A * p with the paper's PRIVATE(q) WITH MERGE(+) semantics: every
   /// rank sweeps its own columns into a private full-length q, one SUM
@@ -95,8 +80,10 @@ class DistCsc {
   void matvec_private(const hpf::DistributedVector<T>& p,
                       hpf::DistributedVector<T>& q) {
     check_vectors(p, q);
-    assemble();
-    const std::size_t base = plan_.needed().begin;
+    nnz_.assemble(*proc_);
+    const std::size_t base = nnz_.plan().needed().begin;
+    const auto row = nnz_.idx();
+    const auto val = nnz_.val();
     std::vector<T> q_priv(n_, T{});
     std::size_t flops = 0;
     for (std::size_t lc = 0; lc < local_cols(); ++lc) {
@@ -104,7 +91,7 @@ class DistCsc {
       const std::size_t lo = col_ptr_[lc];
       const std::size_t hi = col_ptr_[lc + 1];
       for (std::size_t k = lo; k < hi; ++k) {
-        q_priv[row_w_[k - base]] += val_w_[k - base] * pj;
+        q_priv[row[k - base]] += val[k - base] * pj;
       }
       flops += 2 * (hi - lo);
     }
@@ -121,8 +108,10 @@ class DistCsc {
   void matvec_serial(const hpf::DistributedVector<T>& p,
                      hpf::DistributedVector<T>& q) {
     check_vectors(p, q);
-    assemble();
-    const std::size_t base = plan_.needed().begin;
+    nnz_.assemble(*proc_);
+    const std::size_t base = nnz_.plan().needed().begin;
+    const auto row = nnz_.idx();
+    const auto val = nnz_.val();
     msg::Process& proc = *proc_;
     const int np = proc.nprocs();
     const int me = proc.rank();
@@ -138,7 +127,7 @@ class DistCsc {
         const std::size_t lo = col_ptr_[lc];
         const std::size_t hi = col_ptr_[lc + 1];
         for (std::size_t k = lo; k < hi; ++k) {
-          partial[row_w_[k - base]] += val_w_[k - base] * pj;
+          partial[row[k - base]] += val[k - base] * pj;
         }
         flops += 2 * (hi - lo);
       }
@@ -173,30 +162,17 @@ class DistCsc {
                      const hpf::DistributedVector<T>& q) const {
     HPFCG_REQUIRE(p.size() == n_ && q.size() == n_,
                   "DistCsc::matvec: dimension mismatch");
-    HPFCG_REQUIRE(p.dist() == *col_dist_ && q.dist() == *col_dist_,
-                  "DistCsc::matvec: vectors must be aligned with the columns");
-  }
-
-  void assemble() {
-    if (caching_ && assembled_) return;
-    plan_.execute<std::size_t>(*proc_, std::span<const std::size_t>(row_o_),
-                               std::span<std::size_t>(row_w_));
-    plan_.execute<T>(*proc_, std::span<const T>(val_o_), std::span<T>(val_w_));
-    assembled_ = true;
+    HPFCG_REQUIRE(
+        hpf::is_aligned(p, col_dist_) && hpf::is_aligned(q, col_dist_),
+        "DistCsc::matvec: vectors must be aligned with the columns");
   }
 
   msg::Process* proc_;
   hpf::DistPtr col_dist_;
   hpf::DistPtr nnz_dist_;
   std::size_t n_ = 0;
-  NnzExchangePlan plan_;
+  NnzWindow<T> nnz_;                  ///< owned (row, a) slice + sweep window
   std::vector<std::size_t> col_ptr_;  ///< my columns' pointers (global k)
-  std::vector<std::size_t> row_o_;    ///< owned slice of row
-  std::vector<T> val_o_;              ///< owned slice of a
-  std::vector<std::size_t> row_w_;    ///< assembled needed window of row
-  std::vector<T> val_w_;              ///< assembled needed window of a
-  bool caching_ = false;
-  bool assembled_ = false;
 };
 
 }  // namespace hpfcg::sparse

@@ -43,7 +43,7 @@ class DistCsr {
         row_dist_(std::move(row_dist)),
         nnz_dist_(std::move(nnz_dist)),
         n_(a.n_rows()),
-        plan_(proc, a.row_ptr(), *row_dist_, *nnz_dist_) {
+        nnz_(NnzExchangePlan(proc, a.row_ptr(), *row_dist_, *nnz_dist_)) {
     HPFCG_REQUIRE(a.n_rows() == a.n_cols(),
                   "DistCsr: square matrices only (CG context)");
     HPFCG_REQUIRE(row_dist_->size() == n_, "DistCsr: row dist size mismatch");
@@ -63,33 +63,14 @@ class DistCsr {
                     a.row_ptr().begin() + static_cast<std::ptrdiff_t>(row_hi) +
                         1);
 
-    const auto own = plan_.owned();
-    col_o_.assign(a.col_idx().begin() + static_cast<std::ptrdiff_t>(own.begin),
-                  a.col_idx().begin() + static_cast<std::ptrdiff_t>(own.end));
-    val_o_.assign(a.values().begin() + static_cast<std::ptrdiff_t>(own.begin),
-                  a.values().begin() + static_cast<std::ptrdiff_t>(own.end));
-
-    const auto need = plan_.needed();
-    col_w_.assign(need.size(), 0);
-    val_w_.assign(need.size(), T{});
+    nnz_.set_owned_from(a.col_idx(), a.values());
   }
 
   /// Atom-aligned build: nnz cut points derived from the row cut points, so
   /// each row's entries live with its owner — the ATOM:BLOCK semantics.
   static DistCsr row_aligned(msg::Process& proc, const Csr<T>& a,
                              hpf::DistPtr row_dist) {
-    HPFCG_REQUIRE(row_dist->contiguous(),
-                  "row_aligned: row distribution must be contiguous");
-    std::vector<std::size_t> cuts(static_cast<std::size_t>(row_dist->nprocs()) +
-                                  1);
-    for (int r = 0; r <= row_dist->nprocs(); ++r) {
-      const std::size_t row_cut =
-          r == row_dist->nprocs() ? a.n_rows()
-                                  : row_dist->local_range(r).first;
-      cuts[static_cast<std::size_t>(r)] = a.row_ptr()[row_cut];
-    }
-    auto nnz_dist = std::make_shared<const hpf::Distribution>(
-        hpf::Distribution::from_cuts(a.nnz(), std::move(cuts)));
+    auto nnz_dist = atom_aligned_nnz_dist(a.row_ptr(), *row_dist);
     return DistCsr(proc, a, std::move(row_dist), std::move(nnz_dist));
   }
 
@@ -110,11 +91,7 @@ class DistCsr {
     if (proc.rank() == root) {
       HPFCG_REQUIRE(a.n_rows() == row_dist->size(),
                     "scatter_from_root: matrix and distribution disagree");
-      for (int r = 0; r < np; ++r) {
-        cuts[static_cast<std::size_t>(r)] =
-            a.row_ptr()[row_dist->local_range(r).first];
-      }
-      cuts.back() = a.nnz();
+      cuts = atom_aligned_nnz_dist(a.row_ptr(), *row_dist)->cuts();
     }
     proc.broadcast_into<std::size_t>(root,
                                      std::span<std::size_t>(cuts));
@@ -135,8 +112,8 @@ class DistCsr {
                                       cuts[ur + 1] - cuts[ur]);
         if (r == root) {
           out.row_ptr_.assign(rp.begin(), rp.end());
-          out.col_o_.assign(cols.begin(), cols.end());
-          out.val_o_.assign(vals.begin(), vals.end());
+          out.nnz_.set_owned({cols.begin(), cols.end()},
+                             {vals.begin(), vals.end()});
         } else {
           proc.send<std::size_t>(r, kTag, rp);
           proc.send<std::size_t>(r, kTag + 1, cols);
@@ -145,13 +122,9 @@ class DistCsr {
       }
     } else {
       out.row_ptr_ = proc.recv<std::size_t>(root, kTag);
-      out.col_o_ = proc.recv<std::size_t>(root, kTag + 1);
-      out.val_o_ = proc.recv<T>(root, kTag + 2);
+      auto cols = proc.recv<std::size_t>(root, kTag + 1);
+      out.nnz_.set_owned(std::move(cols), proc.recv<T>(root, kTag + 2));
     }
-    out.col_w_ = out.col_o_;
-    out.val_w_ = out.val_o_;
-    out.assembled_ = true;
-    out.caching_ = true;  // aligned: the work window never changes
     return out;
   }
 
@@ -159,7 +132,7 @@ class DistCsr {
   /// REDISTRIBUTE (sparse/redistribute.hpp).  Each rank passes the lengths
   /// of its `row_dist->local_count()` rows plus their concatenated (col, a)
   /// entries; the nnz cut points are derived with one allgatherv and the
-  /// result is row-aligned with caching on.  The new ownership map is
+  /// result is row-aligned.  The new ownership map is
   /// registered with the check ledger (a rank that migrated a different
   /// layout is named instead of silently computing on skewed cuts).
   static DistCsr from_local_rows(msg::Process& proc, hpf::DistPtr row_dist,
@@ -195,12 +168,7 @@ class DistCsr {
     for (std::size_t lr = 0; lr < row_lens.size(); ++lr) {
       out.row_ptr_[lr + 1] = out.row_ptr_[lr] + row_lens[lr];
     }
-    out.col_o_ = std::move(col);
-    out.val_o_ = std::move(val);
-    out.col_w_ = out.col_o_;
-    out.val_w_ = out.val_o_;
-    out.assembled_ = true;
-    out.caching_ = true;  // aligned: the work window never changes
+    out.nnz_.set_owned(std::move(col), std::move(val));
 
     if (proc.checking_active()) {
       proc.conform_replicated(
@@ -228,25 +196,34 @@ class DistCsr {
   /// The (col, a) window covering exactly this rank's rows, assembling it
   /// first if stale (collective in that case — call on every rank).  Entries
   /// of local row lr sit at [row_ptr[lr] - row_ptr[0], row_ptr[lr+1] -
-  /// row_ptr[0]) within the spans.
+  /// row_ptr[0]) within the spans.  On a row-aligned layout the window is
+  /// the owned slice itself (owned_entries()).
   std::pair<std::span<const std::size_t>, std::span<const T>>
   assembled_window() {
     assemble();
-    return {std::span<const std::size_t>(col_w_.data(), col_w_.size()),
-            std::span<const T>(val_w_.data(), val_w_.size())};
+    return {nnz_.idx(), nnz_.val()};
+  }
+  /// This rank's stored slice of (col, a) — the nnz_dist() share.
+  [[nodiscard]] std::pair<std::span<const std::size_t>, std::span<const T>>
+  owned_entries() const {
+    return {nnz_.owned_idx(), nnz_.owned_val()};
   }
   [[nodiscard]] std::size_t local_rows() const {
     return row_ptr_.size() - 1;
   }
-  [[nodiscard]] std::size_t local_nnz() const { return val_o_.size(); }
+  [[nodiscard]] std::size_t local_nnz() const {
+    return nnz_.owned_val().size();
+  }
 
   /// Entries fetched from other ranks per (uncached) sweep.
-  [[nodiscard]] std::size_t remote_nnz() const { return plan_.remote_nnz(); }
+  [[nodiscard]] std::size_t remote_nnz() const {
+    return nnz_.plan().remote_nnz();
+  }
 
   /// SPARSE_MATRIX-descriptor semantics: the trio is declared immutable, so
   /// fetched entries are cached after the first sweep instead of re-fetched
-  /// every time.
-  void enable_caching() { caching_ = true; }
+  /// every time.  (A row-aligned layout fetches nothing either way.)
+  void enable_caching() { nnz_.enable_caching(); }
 
   /// q = A * p.  Both vectors must be distributed like the rows.
   /// Default path (HPFCG_HALO on): the cached HaloPlan executor — exchange
@@ -267,7 +244,8 @@ class DistCsr {
       std::copy(p.local().begin(), p.local().end(), x_halo_.begin());
       halo_.exchange<T>(*proc_, p.local(),
                         std::span<T>(x_halo_).subspan(nl), halo_pack_);
-      const std::size_t base = plan_.needed().begin;
+      const std::size_t base = nnz_.plan().needed().begin;
+      const auto val = nnz_.val();
       auto ql = q.local();
       std::size_t flops = 0;
       for (std::size_t lr = 0; lr < nl; ++lr) {
@@ -275,7 +253,7 @@ class DistCsr {
         const std::size_t lo = row_ptr_[lr];
         const std::size_t hi = row_ptr_[lr + 1];
         for (std::size_t k = lo; k < hi; ++k) {
-          acc += val_w_[k - base] * x_halo_[col_local_[k - base]];
+          acc += val[k - base] * x_halo_[col_local_[k - base]];
         }
         ql[lr] = acc;
         flops += 2 * (hi - lo);
@@ -286,7 +264,9 @@ class DistCsr {
     const std::vector<T> full_p = p.to_global();
     assemble();
     audit_structure();
-    const std::size_t base = plan_.needed().begin;
+    const std::size_t base = nnz_.plan().needed().begin;
+    const auto col = nnz_.idx();
+    const auto val = nnz_.val();
     auto ql = q.local();
     std::size_t flops = 0;
     for (std::size_t lr = 0; lr < local_rows(); ++lr) {
@@ -294,7 +274,7 @@ class DistCsr {
       const std::size_t lo = row_ptr_[lr];
       const std::size_t hi = row_ptr_[lr + 1];
       for (std::size_t k = lo; k < hi; ++k) {
-        acc += val_w_[k - base] * full_p[col_w_[k - base]];
+        acc += val[k - base] * full_p[col[k - base]];
       }
       ql[lr] = acc;
       flops += 2 * (hi - lo);
@@ -314,7 +294,8 @@ class DistCsr {
     check_vectors(p, q);
     assemble();
     audit_structure();
-    const std::size_t base = plan_.needed().begin;
+    const std::size_t base = nnz_.plan().needed().begin;
+    const auto val = nnz_.val();
     auto ql = q.local();
     if (use_halo()) {
       ensure_halo();
@@ -326,7 +307,7 @@ class DistCsr {
         const std::size_t lo = row_ptr_[lr];
         const std::size_t hi = row_ptr_[lr + 1];
         for (std::size_t k = lo; k < hi; ++k) {
-          transpose_scratch_[col_local_[k - base]] += val_w_[k - base] * pi;
+          transpose_scratch_[col_local_[k - base]] += val[k - base] * pi;
         }
         flops += 2 * (hi - lo);
       }
@@ -341,13 +322,14 @@ class DistCsr {
       return;
     }
     zero_scratch(transpose_scratch_, n_);
+    const auto col = nnz_.idx();
     std::size_t flops = 0;
     for (std::size_t lr = 0; lr < local_rows(); ++lr) {
       const T pi = p.local()[lr];
       const std::size_t lo = row_ptr_[lr];
       const std::size_t hi = row_ptr_[lr + 1];
       for (std::size_t k = lo; k < hi; ++k) {
-        transpose_scratch_[col_w_[k - base]] += val_w_[k - base] * pi;
+        transpose_scratch_[col[k - base]] += val[k - base] * pi;
       }
       flops += 2 * (hi - lo);
     }
@@ -374,15 +356,17 @@ class DistCsr {
                      hpf::DistributedVector<T>& x, bool forward, bool exact) {
     HPFCG_REQUIRE(b.size() == n_ && x.size() == n_,
                   "gs_half_sweep: dimension mismatch");
-    HPFCG_REQUIRE(b.dist() == *row_dist_ && x.dist() == *row_dist_,
-                  "gs_half_sweep: vectors must be aligned with the rows");
+    HPFCG_REQUIRE(
+        hpf::is_aligned(b, row_dist_) && hpf::is_aligned(x, row_dist_),
+        "gs_half_sweep: vectors must be aligned with the rows");
     HPFCG_REQUIRE(row_dist_->contiguous(),
                   "gs_half_sweep: contiguous row distribution required");
     assemble();
     audit_structure();
     ensure_gs_diag();
     const std::size_t nl = local_rows();
-    const std::size_t base = plan_.needed().begin;
+    const std::size_t base = nnz_.plan().needed().begin;
+    const auto val = nnz_.val();
     auto xl = x.local();
     const auto bl = b.local();
     std::size_t flops = 0;
@@ -405,7 +389,7 @@ class DistCsr {
         for (std::size_t k = lo; k < hi; ++k) {
           const std::size_t c = col_local_[k - base];
           if (c == lr) continue;
-          acc -= val_w_[k - base] * x_halo_[c];
+          acc -= val[k - base] * x_halo_[c];
         }
         const T xi = acc / gs_diag_[lr];
         x_halo_[lr] = xi;
@@ -435,15 +419,16 @@ class DistCsr {
     if (exact && prev >= 0 && prev < np) {
       proc_->recv_into<T>(prev, kChainTag, std::span<T>(full));
     }
+    const auto col = nnz_.idx();
     const auto relax = [&](std::size_t lr) {
       const std::size_t lo = row_ptr_[lr];
       const std::size_t hi = row_ptr_[lr + 1];
       const std::size_t g = row_lo_ + lr;
       T acc = bl[lr];
       for (std::size_t k = lo; k < hi; ++k) {
-        const std::size_t c = col_w_[k - base];
+        const std::size_t c = col[k - base];
         if (c == g) continue;
-        acc -= val_w_[k - base] * full[c];
+        acc -= val[k - base] * full[c];
       }
       const T xi = acc / gs_diag_[lr];
       full[g] = xi;
@@ -506,7 +491,7 @@ class DistCsr {
         nnz_dist_(std::make_shared<const hpf::Distribution>(
             std::move(nnz_dist))),
         n_(row_dist_->size()),
-        plan_(NnzExchangePlan::aligned(
+        nnz_(NnzExchangePlan::aligned(
             proc.nprocs(),
             {nnz_dist_->local_range(proc.rank()).first,
              nnz_dist_->local_range(proc.rank()).second})) {
@@ -554,8 +539,9 @@ class DistCsr {
                      const hpf::DistributedVector<T>& q) const {
     HPFCG_REQUIRE(p.size() == n_ && q.size() == n_,
                   "DistCsr::matvec: dimension mismatch");
-    HPFCG_REQUIRE(p.dist() == *row_dist_ && q.dist() == *row_dist_,
-                  "DistCsr::matvec: vectors must be aligned with the rows");
+    HPFCG_REQUIRE(
+        hpf::is_aligned(p, row_dist_) && hpf::is_aligned(q, row_dist_),
+        "DistCsr::matvec: vectors must be aligned with the rows");
   }
 
   /// Sample the halo toggle once per matrix (first sweep decides).
@@ -565,17 +551,20 @@ class DistCsr {
   }
 
   /// Collective lazy build: run the inspector over the assembled column
-  /// window and remap it into the compact [owned | ghost] numbering.  All
+  /// window and remap it into the compact [owned | ghost] numbering (32-bit:
+  /// the build rejects a rank whose owned + ghost count does not fit).  All
   /// ranks reach the first sweep together, so the collective is aligned.
-  /// Requires assemble() to have run (col_w_ holds the window; its values
-  /// are immutable across re-fetches, so the remap stays valid even for
-  /// uncached HPF-1 layouts).
+  /// Requires assemble() to have run (its column values are immutable
+  /// across re-fetches, so the remap stays valid even for uncached HPF-1
+  /// layouts).
   void ensure_halo() {
     if (halo_.built()) return;
-    halo_.build(*proc_, std::span<const std::size_t>(col_w_), *row_dist_);
-    col_local_.resize(col_w_.size());
-    for (std::size_t i = 0; i < col_w_.size(); ++i) {
-      col_local_[i] = halo_.local_index(col_w_[i]);
+    const auto col = nnz_.idx();
+    halo_.build(*proc_, col, *row_dist_);
+    col_local_.resize(col.size());
+    for (std::size_t i = 0; i < col.size(); ++i) {
+      col_local_[i] =
+          static_cast<halo::CompactIndex>(halo_.local_index(col[i]));
     }
   }
 
@@ -587,14 +576,16 @@ class DistCsr {
   /// scan runs once.
   void ensure_gs_diag() {
     if (gs_diag_built_) return;
-    const std::size_t base = plan_.needed().begin;
+    const std::size_t base = nnz_.plan().needed().begin;
+    const auto col = nnz_.idx();
+    const auto val = nnz_.val();
     gs_diag_.assign(local_rows(), T{});
     for (std::size_t lr = 0; lr < local_rows(); ++lr) {
       const std::size_t g = row_lo_ + lr;
       T d{};
       for (std::size_t k = row_ptr_[lr]; k < row_ptr_[lr + 1]; ++k) {
-        if (col_w_[k - base] == g) {
-          d = val_w_[k - base];
+        if (col[k - base] == g) {
+          d = val[k - base];
           break;
         }
       }
@@ -614,14 +605,10 @@ class DistCsr {
     buf.assign(m, T{});
   }
 
-  /// Run the executor unless the cache already holds the window.
+  /// Refresh the window (see NnzWindow::assemble); a refill re-arms the
+  /// structure audit.
   void assemble() {
-    if (caching_ && assembled_) return;
-    plan_.execute<std::size_t>(*proc_, std::span<const std::size_t>(col_o_),
-                               std::span<std::size_t>(col_w_));
-    plan_.execute<T>(*proc_, std::span<const T>(val_o_), std::span<T>(val_w_));
-    assembled_ = true;
-    audited_ = false;
+    if (nnz_.assemble(*proc_)) audited_ = false;
   }
 
   /// Checking only: validate the assembled trio before the sweep indexes
@@ -631,13 +618,14 @@ class DistCsr {
   /// to rule out.  Runs once per assembly.
   void audit_structure() {
     if (!(check::kCompiled && check::enabled()) || audited_) return;
-    const std::size_t base = plan_.needed().begin;
+    const std::size_t base = nnz_.plan().needed().begin;
+    const auto col = nnz_.idx();
     for (std::size_t lr = 0; lr < local_rows(); ++lr) {
       HPFCG_REQUIRE(row_ptr_[lr] <= row_ptr_[lr + 1],
                     "DistCsr: row pointers not monotone on rank " +
                         std::to_string(proc_->rank()));
       for (std::size_t k = row_ptr_[lr]; k < row_ptr_[lr + 1]; ++k) {
-        const std::size_t c = col_w_[k - base];
+        const std::size_t c = col[k - base];
         if (c >= n_) {
           throw util::Error(
               "hpfcg::check: out-of-shard index: rank " +
@@ -656,14 +644,8 @@ class DistCsr {
   hpf::DistPtr nnz_dist_;
   std::size_t n_ = 0;
   std::size_t row_lo_ = 0;
-  NnzExchangePlan plan_;
+  NnzWindow<T> nnz_;                  ///< owned (col, a) slice + sweep window
   std::vector<std::size_t> row_ptr_;  ///< my rows' pointers (global k values)
-  std::vector<std::size_t> col_o_;    ///< owned slice of col
-  std::vector<T> val_o_;              ///< owned slice of a
-  std::vector<std::size_t> col_w_;    ///< assembled needed window of col
-  std::vector<T> val_w_;              ///< assembled needed window of a
-  bool caching_ = false;
-  bool assembled_ = false;
   bool audited_ = false;  ///< hpfcg::check: window validated since assembly
   std::vector<T> gs_diag_;      ///< owned diagonals for the GS sweeps
   bool gs_diag_built_ = false;  ///< diag scan (with zero check) done
@@ -673,7 +655,7 @@ class DistCsr {
   // (a real migration builds a fresh object, so the plan resets there).
   HaloPlan halo_;
   int halo_mode_ = -1;  ///< -1 undecided, 0 gather, 1 halo (set at 1st sweep)
-  std::vector<std::size_t> col_local_;  ///< col_w_ in [owned | ghost] numbering
+  std::vector<halo::CompactIndex> col_local_;  ///< window cols, [owned | ghost]
   std::vector<T> x_halo_;               ///< [owned | ghost] sweep buffer
   std::vector<T> halo_pack_;            ///< executor pack/unpack scratch
   std::vector<T> transpose_scratch_;    ///< hoisted transpose accumulator

@@ -52,7 +52,9 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -76,6 +78,22 @@ inline constinit util::Knob<bool> enabled_knob{"HPFCG_HALO", true};
 
 /// RAII enable/disable for tests and benches: restores the previous state.
 using ScopedEnable = util::ScopedKnob<enabled_knob>;
+
+/// Index type of the compact [owned | ghost] numbering the sweeps read:
+/// 32 bits halves the index traffic of every halo sweep.
+using CompactIndex = std::uint32_t;
+
+/// Reject a rank whose compact numbering (`extent` = owned + ghost entries)
+/// does not fit CompactIndex, naming the rank and the count.
+inline void check_compact_extent(int rank, std::size_t extent) {
+  if (extent > std::numeric_limits<CompactIndex>::max()) {
+    throw util::Error("HaloPlan: rank " + std::to_string(rank) + " needs " +
+                      std::to_string(extent) +
+                      " owned + ghost entries; the 32-bit compact column "
+                      "numbering holds at most " +
+                      std::to_string(std::numeric_limits<CompactIndex>::max()));
+  }
+}
 
 }  // namespace halo
 
@@ -135,6 +153,7 @@ class HaloPlan {
       ghost_gids_.push_back(g);
       requests[static_cast<std::size_t>(r)].push_back(g);
     }
+    halo::check_compact_extent(me, n_owned_ + ghost_gids_.size());
 
     // One neighborhood personalized all-to-all ships the index lists; the
     // replies tell this rank which of its owned entries each peer ghosts.

@@ -18,6 +18,9 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "hpfcg/hpf/distribution.hpp"
@@ -39,6 +42,23 @@ struct NnzSegment {
 
 inline NnzSegment intersect(NnzSegment a, NnzSegment b) {
   return {std::max(a.begin, b.begin), std::min(a.end, b.end)};
+}
+
+/// ATOM:BLOCK: the nnz distribution whose cut points follow the atom cuts
+/// of the contiguous `atom_dist` through the global pointer array `ptr`
+/// (atom cut c maps to nnz cut ptr[c]), so each atom's entries live with
+/// its owner and the exchange plan is empty.
+inline hpf::DistPtr atom_aligned_nnz_dist(const std::vector<std::size_t>& ptr,
+                                          const hpf::Distribution& atom_dist) {
+  HPFCG_REQUIRE(atom_dist.contiguous(),
+                "atom-aligned nnz: atom distribution must be contiguous");
+  const auto np = static_cast<std::size_t>(atom_dist.nprocs());
+  std::vector<std::size_t> cuts(np + 1, ptr.back());
+  for (std::size_t r = 0; r < np; ++r) {
+    cuts[r] = ptr[atom_dist.local_range(static_cast<int>(r)).first];
+  }
+  return std::make_shared<const hpf::Distribution>(
+      hpf::Distribution::from_cuts(ptr.back(), std::move(cuts)));
 }
 
 /// The reusable communication schedule for one (atom_dist, nnz_dist) pair.
@@ -160,6 +180,89 @@ class NnzExchangePlan {
   std::size_t remote_nnz_ = 0;
   std::vector<NnzSegment> recv_from_;
   std::vector<NnzSegment> send_to_;
+};
+
+/// One rank's share of a distributed compressed matrix's nnz arrays (index
+/// array col/row, values a): the owned slice, and the window its atoms
+/// sweep.  On an atom-aligned plan (needed() == owned()) the owned slice IS
+/// the window: it is stored once and assemble() is free — the ATOM:BLOCK
+/// claim that an aligned layout needs no fetch at all.  Otherwise the
+/// window has its own storage, which the plan's executor refills at every
+/// assemble() unless caching is on (the SPARSE_MATRIX descriptor declares
+/// the arrays immutable, so one fetch serves every later sweep).
+///
+/// The skip is collective-safe: the atoms' needed ranges are disjoint, so a
+/// rank whose window is its owned slice has no segment to send or receive.
+template <class T>
+class NnzWindow {
+ public:
+  explicit NnzWindow(NnzExchangePlan plan) : plan_(std::move(plan)) {}
+
+  /// Install this rank's owned slice (global range plan().owned()).
+  void set_owned(std::vector<std::size_t> idx, std::vector<T> val) {
+    HPFCG_REQUIRE(
+        idx.size() == plan_.owned().size() && val.size() == idx.size(),
+        "nnz window: owned slice has wrong length");
+    idx_o_ = std::move(idx);
+    val_o_ = std::move(val);
+  }
+
+  /// Install the owned slice of the replicated global arrays.
+  void set_owned_from(std::span<const std::size_t> idx,
+                      std::span<const T> val) {
+    const auto own = plan_.owned();
+    const auto i = idx.subspan(own.begin, own.size());
+    const auto v = val.subspan(own.begin, own.size());
+    set_owned({i.begin(), i.end()}, {v.begin(), v.end()});
+  }
+
+  [[nodiscard]] const NnzExchangePlan& plan() const { return plan_; }
+  [[nodiscard]] bool aligned() const {
+    return plan_.needed().begin == plan_.owned().begin &&
+           plan_.needed().end == plan_.owned().end;
+  }
+
+  /// Keep the first fetched window for every later sweep.
+  void enable_caching() { caching_ = true; }
+
+  /// Bring the window up to date: run the executor (collective) unless the
+  /// layout is aligned or the cache holds the window.  True when the window
+  /// was refilled.
+  bool assemble(msg::Process& proc) {
+    if (aligned() || (caching_ && assembled_)) return false;
+    idx_w_.resize(plan_.needed().size());
+    val_w_.resize(plan_.needed().size());
+    plan_.execute<std::size_t>(proc, std::span<const std::size_t>(idx_o_),
+                               std::span<std::size_t>(idx_w_));
+    plan_.execute<T>(proc, std::span<const T>(val_o_), std::span<T>(val_w_));
+    assembled_ = true;
+    return true;
+  }
+
+  /// The window (valid after assemble()): global nnz index k sits at
+  /// k - plan().needed().begin.
+  [[nodiscard]] std::span<const std::size_t> idx() const {
+    return aligned() ? std::span<const std::size_t>(idx_o_)
+                     : std::span<const std::size_t>(idx_w_);
+  }
+  [[nodiscard]] std::span<const T> val() const {
+    return aligned() ? std::span<const T>(val_o_) : std::span<const T>(val_w_);
+  }
+
+  /// The owned slice: global nnz index k sits at k - plan().owned().begin.
+  [[nodiscard]] std::span<const std::size_t> owned_idx() const {
+    return idx_o_;
+  }
+  [[nodiscard]] std::span<const T> owned_val() const { return val_o_; }
+
+ private:
+  NnzExchangePlan plan_;
+  std::vector<std::size_t> idx_o_;  ///< owned slice of the index array
+  std::vector<T> val_o_;            ///< owned slice of the values
+  std::vector<std::size_t> idx_w_;  ///< unaligned only: assembled window
+  std::vector<T> val_w_;            ///< unaligned only: assembled window
+  bool caching_ = false;
+  bool assembled_ = false;
 };
 
 }  // namespace hpfcg::sparse

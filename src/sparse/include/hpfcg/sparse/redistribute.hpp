@@ -15,9 +15,10 @@
 // no communication at all.
 //
 // The migrated matrix is row-aligned (ATOM semantics: each row's entries
-// live with its owner) with caching enabled, and its new ownership map is
-// registered with the hpfcg::check ledger; the exchange runs under a
-// trace::kRedistribute span so cost accounting survives the swap.
+// live with its owner, so it sweeps its owned slice with no fetch), and its
+// new ownership map is registered with the hpfcg::check ledger; the
+// exchange runs under a trace::kRedistribute span so cost accounting
+// survives the swap.
 //
 // Halo invalidation: a migration changes the ownership map, so any cached
 // HaloPlan is stale by construction.  This falls out of the structure —

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <numeric>
 #include <tuple>
@@ -187,6 +188,81 @@ TEST(Distribution, EqualityComparesMappings) {
   // from_cuts with block boundaries equals block too.
   const auto d = Distribution::from_cuts(12, {0, 3, 6, 9, 12});
   EXPECT_TRUE(a == d);
+}
+
+/// Element-wise reference for operator==: same n, same NP, and every
+/// index has the same owner and local slot.
+bool same_mapping(const Distribution& a, const Distribution& b) {
+  if (a.size() != b.size() || a.nprocs() != b.nprocs()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a.owner(i) != b.owner(i) || a.local_index(i) != b.local_index(i)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Every kind over (n, np), with block sizes that tie kinds together
+/// (BLOCK(k) = BLOCK, CYCLIC(1) = CYCLIC, degenerate CYCLIC(k >= n)), cut
+/// points with empty ranks, and indirect maps copying regular ones.
+std::vector<Distribution> kind_table(std::size_t n, int np) {
+  const auto unp = static_cast<std::size_t>(np);
+  const std::size_t min_k = n == 0 ? 1 : (n + unp - 1) / unp;
+  std::vector<Distribution> t;
+  t.push_back(Distribution::block(n, np));
+  t.push_back(Distribution::block_size(n, np, min_k));
+  t.push_back(Distribution::block_size(n, np, min_k + 1));
+  t.push_back(Distribution::cyclic(n, np));
+  for (const std::size_t k : {std::size_t{1}, std::size_t{2}, n, n + 3}) {
+    if (k >= 1) t.push_back(Distribution::cyclic_size(n, np, k));
+  }
+  std::vector<std::size_t> even(unp + 1), front(unp + 1, n), back(unp + 1, 0);
+  for (std::size_t r = 0; r <= unp; ++r) even[r] = std::min(n, r * min_k);
+  front[0] = 0;  // rank 0 owns everything, the rest are empty
+  back[unp] = n;  // the last rank owns everything
+  t.push_back(Distribution::from_cuts(n, even));
+  t.push_back(Distribution::from_cuts(n, front));
+  t.push_back(Distribution::from_cuts(n, back));
+  const auto owners_of = [n](const Distribution& d) {
+    std::vector<int> own(n);
+    for (std::size_t i = 0; i < n; ++i) own[i] = d.owner(i);
+    return own;
+  };
+  t.push_back(Distribution::indirect(np, owners_of(t[0])));  // = BLOCK
+  t.push_back(Distribution::indirect(np, owners_of(t[3])));  // = CYCLIC
+  std::vector<int> scattered(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    scattered[i] = static_cast<int>((i * 7 + i / 3) % unp);
+  }
+  t.push_back(Distribution::indirect(np, scattered));
+  return t;
+}
+
+TEST(Distribution, EqualityMatchesElementwiseReferenceOverKindTable) {
+  std::size_t cross_kind_equal = 0;
+  std::size_t same_kind_unequal = 0;
+  for (const std::size_t n : {0u, 1u, 2u, 3u, 5u, 7u, 12u}) {
+    std::vector<Distribution> all;
+    for (int np = 1; np <= 4; ++np) {
+      for (auto& d : kind_table(n, np)) all.push_back(std::move(d));
+    }
+    for (const auto& a : all) {
+      EXPECT_TRUE(a == a);
+      for (const auto& b : all) {
+        const bool ref = same_mapping(a, b);
+        ASSERT_EQ(a == b, ref)
+            << a.name() << " vs " << b.name() << " over n=" << n
+            << ", NP=" << a.nprocs() << "/" << b.nprocs();
+        if (ref && a.kind() != b.kind()) ++cross_kind_equal;
+        if (!ref && a.kind() == b.kind() && a.nprocs() == b.nprocs()) {
+          ++same_kind_unequal;
+        }
+      }
+    }
+  }
+  // The table exercises both shortcut directions, not just trivial pairs.
+  EXPECT_GT(cross_kind_equal, 0u);
+  EXPECT_GT(same_kind_unequal, 0u);
 }
 
 TEST(Distribution, HugeBlockSizeDoesNotOverflow) {

@@ -45,12 +45,21 @@ void tick_clock(Process& p) {
   (void)p.recv_value<int>(p.rank(), 99);
 }
 
+/// Detection on, checking off whatever HPFCG_CHECK says: a test that seeds
+/// a race reads the detector's records, and checking's teardown audit would
+/// fail the run on that race first (RacesFailTheCheckTeardownAudit covers
+/// that path).
+struct SeededRace {
+  race::ScopedEnable on;
+  check::ScopedEnable no_check{false};
+};
+
 }  // namespace
 
 // ---- wildcard-receive races --------------------------------------------
 
 TEST(RaceDetector, WildcardRaceNamesBothSourcesAndSite) {
-  race::ScopedEnable on;
+  SeededRace seeded;
   Runtime rt(3);
   rt.run([](Process& p) {
     if (p.rank() == 1) p.send_value<int>(0, 7, 10);
@@ -133,7 +142,7 @@ TEST(RaceDetector, ZeroLengthTokenCarriesTheClock) {
 // ---- fence-order hazards -----------------------------------------------
 
 TEST(RaceDetector, PendingMessageAcrossAllreduceIsFlagged) {
-  race::ScopedEnable on;
+  SeededRace seeded;
   Runtime rt(2);
   rt.run([](Process& p) {
     if (p.rank() == 1) {
@@ -172,7 +181,7 @@ TEST(RaceDetector, ReceiveBeforeFenceIsNotFlagged) {
 // ---- region races ------------------------------------------------------
 
 TEST(RaceDetector, ConcurrentReplicatedWritesAreFlagged) {
-  race::ScopedEnable on;
+  SeededRace seeded;
   Runtime rt(2);
   rt.run([](Process& p) {
     tick_clock(p);  // leave the all-zero origin so the clocks can diverge
@@ -214,7 +223,7 @@ TEST(RaceDetector, OrderedReplicatedAccessesAreNotFlagged) {
 TEST(RaceDetector, PrivatePublishRacingAWriteIsFlagged) {
   // rank 1 writes its private copy while rank 0's "merge" completes with
   // no ordering edge between them — the update may or may not be merged.
-  race::ScopedEnable on;
+  SeededRace seeded;
   Runtime rt(2);
   rt.run([](Process& p) {
     tick_clock(p);  // leave the all-zero origin so the clocks can diverge
@@ -286,7 +295,7 @@ TEST(RaceDetector, RacesFailTheCheckTeardownAudit) {
 // ---- reporting ---------------------------------------------------------
 
 TEST(RaceDetector, JsonReportIsWellFormedAndComplete) {
-  race::ScopedEnable on;
+  SeededRace seeded;
   Runtime rt(3);
   rt.run([](Process& p) {
     if (p.rank() != 0) p.send_value<int>(0, 7, p.rank());

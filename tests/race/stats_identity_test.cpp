@@ -9,9 +9,11 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "hpfcg/check/check.hpp"
 #include "hpfcg/msg/process.hpp"
 #include "hpfcg/msg/runtime.hpp"
 #include "hpfcg/race/race.hpp"
@@ -20,6 +22,7 @@
 #include "hpfcg/sparse/generators.hpp"
 #include "spmd_test_util.hpp"
 
+namespace check = hpfcg::check;
 namespace race = hpfcg::race;
 namespace sv = hpfcg::solvers;
 namespace sp = hpfcg::sparse;
@@ -79,6 +82,43 @@ auto share(Distribution d) {
   return std::make_shared<const Distribution>(std::move(d));
 }
 
+/// Any-source traffic whose senders are causally concurrent: with
+/// detection on it is a deliberate wildcard race.
+void wildcard_and_zero_length_traffic(Process& p) {
+  const int last = p.nprocs() - 1;
+  // Deposit order is pinned (each sender waits for its predecessors'
+  // messages to land) so both runs receive in the same order and even
+  // the floating-point cost accumulation is bit-identical.  The senders
+  // stay causally concurrent — with detection on this IS a wildcard
+  // race, which must be flagged without moving a single counter.
+  auto pending = [&]() -> std::size_t {
+    return p.runtime().mailbox(last).pending();
+  };
+  if (p.rank() != last) {
+    while (pending() < 2 * static_cast<std::size_t>(p.rank())) {
+      std::this_thread::yield();
+    }
+    p.send_value<double>(last, 11, p.rank() * 1.5);
+    p.send<std::uint8_t>(last, 12, std::span<const std::uint8_t>());
+  } else {
+    while (pending() < 2 * static_cast<std::size_t>(last)) {
+      std::this_thread::yield();
+    }
+    double sum = 0.0;
+    for (int i = 0; i < last; ++i) {
+      int src = -1;
+      sum += p.recv_any<double>(11, src)[0];
+      EXPECT_EQ(src, i);  // oldest arrival first, in both runs
+      EXPECT_TRUE(p.recv<std::uint8_t>(src, 12).empty());
+    }
+  }
+  p.barrier();
+  std::vector<double> batch{1.0, 2.0, static_cast<double>(p.rank())};
+  p.allreduce_batch<double>(batch);
+  (void)p.allreduce<double>(1.0);
+  p.barrier();
+}
+
 }  // namespace
 
 class RaceStatsIdentityTest : public ::testing::TestWithParam<int> {};
@@ -87,41 +127,31 @@ TEST_P(RaceStatsIdentityTest, WildcardAndZeroLengthTraffic) {
   // Exercises the paths detection instruments hardest: any-source matching
   // (the detector arbitrates the choice), zero-length messages (stamps ride
   // the struct — payload bytes must stay 0), and the fused collectives.
-  const int np = GetParam();
-  compare_runs(np, [](Process& p) {
-    const int last = p.nprocs() - 1;
-    // Deposit order is pinned (each sender waits for its predecessors'
-    // messages to land) so both runs receive in the same order and even
-    // the floating-point cost accumulation is bit-identical.  The senders
-    // stay causally concurrent — with detection on this IS a wildcard
-    // race, which must be flagged without moving a single counter.
-    auto pending = [&]() -> std::size_t {
-      return p.runtime().mailbox(last).pending();
-    };
-    if (p.rank() != last) {
-      while (pending() < 2 * static_cast<std::size_t>(p.rank())) {
-        std::this_thread::yield();
-      }
-      p.send_value<double>(last, 11, p.rank() * 1.5);
-      p.send<std::uint8_t>(last, 12, std::span<const std::uint8_t>());
-    } else {
-      while (pending() < 2 * static_cast<std::size_t>(last)) {
-        std::this_thread::yield();
-      }
-      double sum = 0.0;
-      for (int i = 0; i < last; ++i) {
-        int src = -1;
-        sum += p.recv_any<double>(11, src)[0];
-        EXPECT_EQ(src, i);  // oldest arrival first, in both runs
-        EXPECT_TRUE(p.recv<std::uint8_t>(src, 12).empty());
-      }
-    }
-    p.barrier();
-    std::vector<double> batch{1.0, 2.0, static_cast<double>(p.rank())};
-    p.allreduce_batch<double>(batch);
-    (void)p.allreduce<double>(1.0);
-    p.barrier();
-  });
+  // Checking stays off (whatever HPFCG_CHECK says): its teardown audit
+  // fails a run with a flagged race, and this race is deliberate.
+  check::ScopedEnable no_check(false);
+  compare_runs(GetParam(), wildcard_and_zero_length_traffic);
+}
+
+TEST(RaceStatsIdentity, CheckedRunNamesTheDeliberateWildcardRace) {
+  // The other side of the pin above: with both layers on, the teardown
+  // audit rejects the same workload and names the race.
+  if (!check::kCompiled || !race::kCompiled) {
+    GTEST_SKIP() << "check or race compiled out";
+  }
+  race::ScopedEnable race_on;
+  check::ScopedEnable check_on;
+  Runtime rt(3);
+  std::string message;
+  try {
+    rt.run(wildcard_and_zero_length_traffic);
+    ADD_FAILURE() << "expected the teardown audit to reject the race";
+  } catch (const hpfcg::util::Error& e) {
+    message = e.what();
+  }
+  EXPECT_NE(message.find("teardown audit failed"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("wildcard"), std::string::npos) << message;
 }
 
 TEST_P(RaceStatsIdentityTest, FusedCgSolve) {

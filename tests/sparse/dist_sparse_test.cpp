@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -106,6 +107,78 @@ TEST_P(DistSparseTest, CsrCachingFetchesOnlyOnce) {
   const auto uncached = run_sweeps(false);
   const auto cached = run_sweeps(true);
   EXPECT_LT(cached, uncached);
+}
+
+TEST_P(DistSparseTest, AlignedWindowIsTheOwnedSlice) {
+  // ATOM:BLOCK layouts store (col, a) once: every build path that yields a
+  // row-aligned matrix sweeps straight out of its owned slice, and sweeps
+  // never move or copy it.
+  const int np = GetParam();
+  const auto a = hpfcg::sparse::laplacian_2d(9, 7);
+  const std::size_t n = a.n_rows();
+  run_spmd(np, [&](Process& proc) {
+    auto row_dist = share(Distribution::block(n, proc.nprocs()));
+    auto aligned = DistCsr<double>::row_aligned(proc, a, row_dist);
+    auto scattered = DistCsr<double>::scatter_from_root(proc, 0, a, row_dist);
+    for (DistCsr<double>* mat : {&aligned, &scattered}) {
+      const auto [own_col, own_val] = mat->owned_entries();
+      const auto [col, val] = mat->assembled_window();
+      EXPECT_EQ(col.data(), own_col.data());
+      EXPECT_EQ(val.data(), own_val.data());
+      EXPECT_EQ(val.size(), mat->local_nnz());
+      DistributedVector<double> p(proc, row_dist), q(proc, row_dist);
+      p.set_from(pval);
+      for (int sweep = 0; sweep < 3; ++sweep) {
+        mat->matvec(p, q);
+        mat->matvec_transpose(p, q);
+        mat->gs_half_sweep(p, q, /*forward=*/true, /*exact=*/true);
+        EXPECT_EQ(mat->assembled_window().first.data(), own_col.data());
+        EXPECT_EQ(mat->assembled_window().second.data(), own_val.data());
+      }
+    }
+  });
+}
+
+TEST_P(DistSparseTest, UncachedHpf1BlockRefetchesEverySweep) {
+  // Without the descriptor's caching a flat BLOCK nnz layout pays the same
+  // fetch on every sweep — the HPF-1 cost the aligned layout removes.
+  const int np = GetParam();
+  if (np == 1) GTEST_SKIP() << "no remote entries on one processor";
+  const auto a = hpfcg::sparse::random_spd(60, 5, 11);
+  const std::size_t n = a.n_rows();
+  hpfcg::sparse::halo::ScopedEnable halo_on;  // only the fetch is non-halo
+  constexpr int kSweeps = 4;
+  std::atomic<std::size_t> remote{0};
+  std::vector<std::atomic<std::uint64_t>> fetch_bytes(kSweeps);
+  run_spmd(np, [&](Process& proc) {
+    auto row_dist = share(Distribution::block(n, proc.nprocs()));
+    auto nnz_dist = share(Distribution::block(a.nnz(), proc.nprocs()));
+    DistCsr<double> mat(proc, a, row_dist, nnz_dist);
+    mat.prepare_halo();  // the one-time inspector traffic stays out
+    DistributedVector<double> p(proc, row_dist), q(proc, row_dist);
+    p.set_from(pval);
+    std::vector<std::uint64_t> sent;
+    std::vector<std::uint64_t> bytes;
+    for (int sweep = 0; sweep < kSweeps; ++sweep) {
+      const auto before = proc.stats();
+      mat.matvec(p, q);
+      const auto& after = proc.stats();
+      sent.push_back(after.messages_sent - before.messages_sent);
+      bytes.push_back(after.bytes_sent - before.bytes_sent);
+      fetch_bytes[static_cast<std::size_t>(sweep)] +=
+          bytes.back() - (after.halo_bytes - before.halo_bytes);
+    }
+    for (int sweep = 1; sweep < kSweeps; ++sweep) {
+      EXPECT_EQ(sent[sweep], sent[0]) << "sweep " << sweep;
+      EXPECT_EQ(bytes[sweep], bytes[0]) << "sweep " << sweep;
+    }
+    remote += mat.remote_nnz();
+  });
+  // Every sweep ships each remote (col, a) entry once, beyond the halo.
+  ASSERT_GT(remote.load(), 0u);
+  for (auto& b : fetch_bytes) {
+    EXPECT_EQ(b.load(), remote.load() * (sizeof(std::size_t) + sizeof(double)));
+  }
 }
 
 TEST_P(DistSparseTest, CsrTransposeMatchesSerial) {
@@ -210,6 +283,22 @@ TEST(NnzExchangePlan, AlignedPlanIsEmpty) {
     EXPECT_EQ(plan.remote_nnz(), 0u);
     for (const auto& seg : plan.recv_segments()) EXPECT_TRUE(seg.empty());
   });
+}
+
+TEST(NnzWindow, AlignedWindowAliasesOwnedSliceAndSkipsTheExecutor) {
+  auto rt = run_spmd(2, [&](Process& proc) {
+    const std::size_t lo = proc.rank() == 0 ? 0 : 5;
+    const std::size_t hi = proc.rank() == 0 ? 5 : 8;
+    hpfcg::sparse::NnzWindow<double> w(
+        hpfcg::sparse::NnzExchangePlan::aligned(2, {lo, hi}));
+    w.set_owned(std::vector<std::size_t>(hi - lo, 1),
+                std::vector<double>(hi - lo, 2.0));
+    EXPECT_TRUE(w.aligned());
+    EXPECT_FALSE(w.assemble(proc));
+    EXPECT_EQ(w.idx().data(), w.owned_idx().data());
+    EXPECT_EQ(w.val().data(), w.owned_val().data());
+  });
+  EXPECT_EQ(rt->total_stats().messages_sent, 0u);
 }
 
 TEST(NnzExchangePlan, MisalignedPlanCoversExactlyTheGap) {

@@ -126,6 +126,22 @@ TEST(HaloPlanSingleRank, Np1IsANoOp) {
   EXPECT_EQ(rt->total_stats().halo_bytes, 0u);
 }
 
+TEST(HaloCompactIndex, ExtentGuardNamesRankAndCount) {
+  // The sweeps read 32-bit [owned | ghost] columns; a rank whose extent
+  // reaches 2^32 is rejected by name at plan build (checked here on the
+  // guard itself, without allocating 2^32 entries).
+  constexpr std::size_t kLimit = std::size_t{1} << 32;
+  EXPECT_NO_THROW(halo::check_compact_extent(0, kLimit - 1));
+  try {
+    halo::check_compact_extent(5, kLimit);
+    ADD_FAILURE() << "an extent of 2^32 must be rejected";
+  } catch (const hpfcg::util::Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("rank 5"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("4294967296"), std::string::npos) << msg;
+  }
+}
+
 TEST_P(HaloPlanTest, MatvecBitIdenticalToGatherPath) {
   // Both paths accumulate each row's entries in the same k order, so the
   // results must agree to the last bit — the property the solver
