@@ -96,7 +96,18 @@ class CollectiveLedger {
   /// Rank `rank` enters its `seq`-th conformance-relevant operation.
   void post(int rank, std::uint64_t seq, const CollectiveRecord& rec);
 
+  /// The first divergence diagnostic post() threw ("" when none).  A rank
+  /// whose post was parked runs on into the collective's messages, so
+  /// another rank can fail on a symptom (a length mismatch, an abort)
+  /// before rank 0's post raises the diagnosis; the runtime reports this
+  /// one instead.
+  [[nodiscard]] std::string diagnosis() const;
+
  private:
+  [[noreturn]] void fail_divergent(std::uint64_t seq, int divergent,
+                                   const CollectiveRecord& div_rec,
+                                   const CollectiveRecord& ref_rec);
+
   struct Entry {
     bool have_ref = false;  ///< rank 0 has posted
     CollectiveRecord ref;   ///< rank 0's record
@@ -105,8 +116,9 @@ class CollectiveLedger {
   };
 
   int nprocs_;
-  std::mutex mu_;
+  mutable std::mutex mu_;
   std::unordered_map<std::uint64_t, Entry> live_;
+  std::string diagnosis_;
 };
 
 }  // namespace hpfcg::check

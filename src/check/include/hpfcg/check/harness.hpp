@@ -39,6 +39,11 @@ class Harness {
     note_progress();
   }
 
+  /// The first collective conformance violation raised ("" when none).
+  [[nodiscard]] std::string conformance_diagnosis() const {
+    return ledger_.diagnosis();
+  }
+
   // ---- wait-for registry / progress ------------------------------------
   void begin_wait(int rank, WaitKind kind, int src = 0, int tag = 0) {
     std::lock_guard<std::mutex> lock(wait_mu_);

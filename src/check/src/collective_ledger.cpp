@@ -51,19 +51,22 @@ std::string CollectiveRecord::describe() const {
   return os.str();
 }
 
-namespace {
-
-[[noreturn]] void fail_divergent(std::uint64_t seq, int divergent,
-                                 const CollectiveRecord& div_rec,
-                                 const CollectiveRecord& ref_rec) {
+// Called with mu_ held.
+void CollectiveLedger::fail_divergent(std::uint64_t seq, int divergent,
+                                      const CollectiveRecord& div_rec,
+                                      const CollectiveRecord& ref_rec) {
   std::ostringstream os;
   os << "hpfcg::check: collective conformance violation at collective #" << seq
      << ": rank " << divergent << " entered " << div_rec.describe()
      << " but rank 0 entered " << ref_rec.describe();
+  if (diagnosis_.empty()) diagnosis_ = os.str();
   throw util::Error(os.str());
 }
 
-}  // namespace
+std::string CollectiveLedger::diagnosis() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return diagnosis_;
+}
 
 void CollectiveLedger::post(int rank, std::uint64_t seq,
                             const CollectiveRecord& rec) {

@@ -124,6 +124,13 @@ void Runtime::run(const std::function<void(Process&)>& body) {
   // The watchdog's diagnosis is the root cause: the per-rank errors it
   // provoked by aborting ("runtime aborted while receiving") are secondary.
   if (watchdog_error) std::rethrow_exception(watchdog_error);
+  // So is a conformance violation: the rank it names may have run on into
+  // the mismatched collective, and the length mismatch or abort another
+  // rank hit there can land first.
+  if (first_error && checker() != nullptr) {
+    const std::string diagnosis = checker()->conformance_diagnosis();
+    if (!diagnosis.empty()) throw util::Error(diagnosis);
+  }
   if (first_error) std::rethrow_exception(first_error);
 
   audit_teardown();

@@ -5,9 +5,9 @@
 // Runtime construction; every hook is a side channel (no simulated
 // messages, no Stats mutation).
 //
-// Threading contract: rank r's clock is touched only by rank r's thread
-// (send / receive-completion ticks, barrier adoption, region snapshots), so
-// clock accesses need no lock.  The join map, the race ledger, and the
+// Threading contract: rank r's clock and its last any-source matches are
+// touched only by rank r's thread (send / receive-completion ticks, barrier
+// adoption, region snapshots, wildcard matching), so they need no lock.  The join map, the race ledger, and the
 // region table have their own mutexes; choose_wildcard() runs under the
 // receiving mailbox's lock and takes at most the ledger mutex (lock order:
 // mailbox -> ledger, never the reverse).
@@ -105,10 +105,16 @@ class Detector {
 
   /// Pick which candidate an any-source receive matches and, when
   /// detecting, flag every candidate concurrent with the chosen one as a
-  /// wildcard race.  Without replay the choice is the oldest arrival —
-  /// bit-identical to the detector-free mailbox; with replay it is drawn
-  /// from this rank's seeded RNG.  `cands` is nonempty and sorted by shard
-  /// (source) order.
+  /// wildcard race.  The chosen message is also checked against the
+  /// previous any-source match on this (rank, tag): if their sends are
+  /// concurrent, the earlier receive could have taken it (the
+  /// Netzer–Miller message-race condition), so the pair is flagged even
+  /// when the message had not arrived yet.  The verdict thus follows the
+  /// happens-before graph, not arrival timing.  Without replay the choice
+  /// is the oldest arrival — bit-identical to the detector-free mailbox;
+  /// with replay it is drawn from this rank's seeded RNG.  `cands` is
+  /// nonempty and sorted by shard (source) order.  Called on `rank`'s own
+  /// thread.
   [[nodiscard]] std::size_t choose_wildcard(int rank, int tag,
                                             std::span<const Candidate> cands);
 
@@ -172,7 +178,15 @@ class Detector {
     std::vector<RegionAccess> reads;   ///< last read per rank
   };
 
+  /// The last any-source match on one (rank, tag): its source and send
+  /// stamp (empty before the first match).
+  struct WildcardMatch {
+    int src = 0;
+    Stamp send;
+  };
+
   void record(RaceRecord rec);
+  void record_wildcard(int rank, int tag, int src_x, int src_y);
   void region_access(int rank, std::uint64_t region, bool write);
 
   int nprocs_;
@@ -184,6 +198,9 @@ class Detector {
   /// Replay RNG per rank; rank r's stream is drawn only under rank r's
   /// mailbox lock, so no extra synchronization is needed.
   std::vector<util::Xoshiro256> rngs_;
+  /// Per rank, tag -> last any-source match; touched only by that rank's
+  /// thread, like its clock.
+  std::vector<std::unordered_map<int, WildcardMatch>> last_wildcard_;
 
   mutable std::mutex join_mu_;
   std::unordered_map<std::uint64_t, BarrierJoin> joins_;

@@ -55,6 +55,7 @@ Detector::Detector(int nprocs, bool detect, std::uint64_t replay_seed,
       detect_(detect),
       replay_seed_(replay_seed),
       ledger_(ledger),
+      last_wildcard_(static_cast<std::size_t>(nprocs)),
       post_gen_(static_cast<std::size_t>(nprocs), 0),
       adopt_gen_(static_cast<std::size_t>(nprocs), 0),
       region_ordinal_(static_cast<std::size_t>(nprocs), 0) {
@@ -121,7 +122,8 @@ std::size_t Detector::choose_wildcard(int rank, int tag,
       if (cands[i].seq < cands[chosen].seq) chosen = i;
     }
   }
-  if (!detect_ || cands.size() < 2) return chosen;
+  if (!detect_) return chosen;
+  const Candidate& pick = cands[chosen];
 
   // Any candidate concurrent with the chosen one could equally have been
   // delivered to this receive: a match-order race.  (Pairs not involving
@@ -129,27 +131,41 @@ std::size_t Detector::choose_wildcard(int rank, int tag,
   // receive of the same loop.)
   for (std::size_t i = 0; i < cands.size(); ++i) {
     if (i == chosen) continue;
-    if (!concurrent(*cands[i].stamp, *cands[chosen].stamp)) continue;
-    const int a = std::min(cands[chosen].src, cands[i].src);
-    const int b = std::max(cands[chosen].src, cands[i].src);
-    RaceRecord rec;
-    rec.kind = RaceKind::kWildcard;
-    rec.rank = rank;
-    rec.src_a = a;
-    rec.src_b = b;
-    rec.tag = tag;
-    rec.site = current_site();
-    std::ostringstream os;
-    os << "wildcard-receive race: any-source receive on rank " << rank
-       << " (tag " << tag << (rec.site.empty() ? "" : ", site \"")
-       << rec.site << (rec.site.empty() ? "" : "\"")
-       << ") has concurrently-in-flight matches from rank " << a
-       << " and rank " << b
-       << " — delivery order is not fixed by any happens-before edge";
-    rec.detail = os.str();
-    record(std::move(rec));
+    if (!concurrent(*cands[i].stamp, *pick.stamp)) continue;
+    record_wildcard(rank, tag, cands[i].src, pick.src);
   }
+
+  // A message not yet queued races too: the previous any-source receive on
+  // this tag could have matched it unless its send happens after that
+  // receive — and a send that did would also happen after the message that
+  // receive took, so concurrent sends are exactly the racing ones.
+  WildcardMatch& last = last_wildcard_[static_cast<std::size_t>(rank)][tag];
+  if (!last.send.empty() && last.src != pick.src &&
+      concurrent(last.send, *pick.stamp)) {
+    record_wildcard(rank, tag, last.src, pick.src);
+  }
+  last.src = pick.src;
+  last.send = *pick.stamp;
   return chosen;
+}
+
+void Detector::record_wildcard(int rank, int tag, int src_x, int src_y) {
+  RaceRecord rec;
+  rec.kind = RaceKind::kWildcard;
+  rec.rank = rank;
+  rec.src_a = std::min(src_x, src_y);
+  rec.src_b = std::max(src_x, src_y);
+  rec.tag = tag;
+  rec.site = current_site();
+  std::ostringstream os;
+  os << "wildcard-receive race: any-source receive on rank " << rank
+     << " (tag " << tag << (rec.site.empty() ? "" : ", site \"") << rec.site
+     << (rec.site.empty() ? "" : "\"")
+     << ") has concurrently-in-flight matches from rank " << rec.src_a
+     << " and rank " << rec.src_b
+     << " — delivery order is not fixed by any happens-before edge";
+  rec.detail = os.str();
+  record(std::move(rec));
 }
 
 void Detector::on_fence(int rank, const char* what,

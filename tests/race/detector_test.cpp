@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <span>
@@ -134,6 +135,59 @@ TEST(RaceDetector, ZeroLengthTokenCarriesTheClock) {
       int src = -1;
       (void)p.recv_any<int>(5, src);
       (void)p.recv_any<int>(5, src);
+    }
+  });
+  EXPECT_EQ(rt.racer()->race_count(), 0u);
+}
+
+TEST(RaceDetector, LateWildcardArrivalIsStillFlagged) {
+  // rank 2 sends only once rank 0's first any-source receive has matched
+  // rank 1's message, so the two are never queued together.  The wait is
+  // outside the message system: no happens-before edge orders rank 2's send
+  // after that receive, which could have taken it.  The verdict must not
+  // depend on the arrival order.
+  SeededRace seeded;
+  std::atomic<bool> first_matched{false};
+  Runtime rt(3);
+  rt.run([&first_matched](Process& p) {
+    if (p.rank() == 1) p.send_value<int>(0, 7, 10);
+    if (p.rank() == 2) {
+      while (!first_matched.load()) std::this_thread::yield();
+      p.send_value<int>(0, 7, 20);
+    }
+    if (p.rank() == 0) {
+      int src = -1;
+      EXPECT_EQ(p.recv_any<int>(7, src)[0], 10);
+      first_matched.store(true);
+      EXPECT_EQ(p.recv_any<int>(7, src)[0], 20);
+    }
+  });
+  const auto records = rt.racer()->records();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].kind, RaceKind::kWildcard);
+  EXPECT_EQ(records[0].rank, 0);
+  EXPECT_EQ(records[0].src_a, 1);
+  EXPECT_EQ(records[0].src_b, 2);
+  EXPECT_EQ(records[0].tag, 7);
+}
+
+TEST(RaceDetector, SendCausedByTheEarlierReceiveIsNotFlagged) {
+  // The same late arrival, but rank 2 sends only after a token rank 0 sent
+  // after its first receive: that receive happens-before the send, so it
+  // could never have matched it.
+  race::ScopedEnable on;
+  Runtime rt(3);
+  rt.run([](Process& p) {
+    if (p.rank() == 1) p.send_value<int>(0, 7, 10);
+    if (p.rank() == 2) {
+      (void)p.recv_value<int>(0, 9);
+      p.send_value<int>(0, 7, 20);
+    }
+    if (p.rank() == 0) {
+      int src = -1;
+      EXPECT_EQ(p.recv_any<int>(7, src)[0], 10);
+      p.send_value<int>(2, 9, 0);
+      EXPECT_EQ(p.recv_any<int>(7, src)[0], 20);
     }
   });
   EXPECT_EQ(rt.racer()->race_count(), 0u);
@@ -321,8 +375,12 @@ TEST(RaceDetector, JsonReportIsWellFormedAndComplete) {
 // ---- off-by-default ----------------------------------------------------
 
 TEST(RaceDetector, NoDetectorWhenDisabled) {
-  // Without the env var / scoped enable, the runtime carries no detector
-  // and racy programs run to completion unflagged (the PR-1 behavior).
+  // With detection and replay off, the runtime carries no detector and
+  // racy programs run to completion unflagged.  Both are pinned off, so
+  // HPFCG_RACE=1 in the environment does not turn this into a test of the
+  // enabled path.
+  race::ScopedEnable off(false);
+  race::ScopedReplaySeed no_replay(0);
   Runtime rt(2);
   rt.run([](Process& p) {
     if (p.rank() == 1) p.send_value<int>(0, 7, 1);

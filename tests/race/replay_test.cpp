@@ -46,9 +46,12 @@ auto share(Distribution d) {
 }
 
 /// Build-and-run one machine with the given replay seed and detection on;
-/// returns the detector's race count after the run.
+/// returns the detector's race count after the run.  Checking stays off
+/// (whatever HPFCG_CHECK says): the body races on purpose, and checking's
+/// teardown audit would fail the run on that race.
 std::size_t run_with_seed(int np, std::uint64_t seed,
                           const std::function<void(Process&)>& body) {
+  hpfcg::check::ScopedEnable no_check(false);
   race::ScopedEnable on;
   race::ScopedReplaySeed replay(seed);
   Runtime rt(np);

@@ -170,6 +170,13 @@ struct KnobCase {
   const char* want;
 };
 
+// Names each table row by its variable and text (e.g. HPFCG_CHECK="1"):
+// gtest's default prints the row's pointer bytes, so the test names would
+// change with every build.
+void PrintTo(const KnobCase& c, std::ostream* os) {
+  *os << c.var << "=\"" << c.text << '"';
+}
+
 std::string parse_as_knob(const std::string& var, const char* text) {
   if (var == "HPFCG_CHECK_TIMEOUT_MS") {
     return std::to_string(u::parse_knob<std::int64_t>(var, text, 1));
