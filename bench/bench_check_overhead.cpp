@@ -97,13 +97,13 @@ int main() {
                    hpfcg::util::fmt_count(off.total.bytes_sent),
                    hpfcg::util::fmt_count(off.total.flops),
                    hpfcg::util::fmt(off.makespan * 1e6, 2),
-                   hpfcg::util::fmt(off.wall_us, 0), "-"});
+                   hpfcg::util::fmt_fixed(off.wall_us), "-"});
     table.add_row({std::to_string(np), "on",
                    hpfcg::util::fmt_count(on.total.messages_sent),
                    hpfcg::util::fmt_count(on.total.bytes_sent),
                    hpfcg::util::fmt_count(on.total.flops),
                    hpfcg::util::fmt(on.makespan * 1e6, 2),
-                   hpfcg::util::fmt(on.wall_us, 0), same ? "yes" : "NO"});
+                   hpfcg::util::fmt_fixed(on.wall_us), same ? "yes" : "NO"});
   }
   table.print(std::cout);
   if (!hpfcg::check::kCompiled) {

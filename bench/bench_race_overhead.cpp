@@ -190,13 +190,13 @@ int main(int argc, char** argv) {
                    hpfcg::util::fmt_count(off.total.bytes_sent),
                    hpfcg::util::fmt_count(off.total.flops),
                    hpfcg::util::fmt(off.makespan * 1e6, 2),
-                   hpfcg::util::fmt(off.wall_us, 0), "-"});
+                   hpfcg::util::fmt_fixed(off.wall_us), "-"});
     table.add_row({std::to_string(np), "on",
                    hpfcg::util::fmt_count(on.total.messages_sent),
                    hpfcg::util::fmt_count(on.total.bytes_sent),
                    hpfcg::util::fmt_count(on.total.flops),
                    hpfcg::util::fmt(on.makespan * 1e6, 2),
-                   hpfcg::util::fmt(on.wall_us, 0), same ? "yes" : "NO"});
+                   hpfcg::util::fmt_fixed(on.wall_us), same ? "yes" : "NO"});
   }
   table.print(std::cout);
 
@@ -209,8 +209,8 @@ int main(int argc, char** argv) {
     ratio = off_us > 0.0 ? on_us / off_us : 1.0;
     overhead_ok = ratio < 1.10;
     std::cout << "\nNP=8 CG solve wall (best of 5): off "
-              << hpfcg::util::fmt(off_us, 0) << " us, on "
-              << hpfcg::util::fmt(on_us, 0) << " us, ratio "
+              << hpfcg::util::fmt_fixed(off_us) << " us, on "
+              << hpfcg::util::fmt_fixed(on_us) << " us, ratio "
               << hpfcg::util::fmt(ratio, 3) << " (gate < 1.10: "
               << (overhead_ok ? "pass" : "FAIL") << ")\n";
   } else {

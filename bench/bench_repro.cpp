@@ -354,8 +354,8 @@ int main(int argc, char** argv) {
                               repro::Superacc::kMergeFlops) *
       1e6;
   std::cout << "\nRP4 — NP=8 cg_fused wall on lap2d 64x64 (best of 5): "
-            << "plain " << hpfcg::util::fmt(off_us, 0) << " us, repro "
-            << hpfcg::util::fmt(on_us, 0) << " us, ratio "
+            << "plain " << hpfcg::util::fmt_fixed(off_us) << " us, repro "
+            << hpfcg::util::fmt_fixed(on_us) << " us, ratio "
             << hpfcg::util::fmt(ratio, 3) << " (gate < 2.0: "
             << (overhead_ok ? "pass" : "FAIL") << ")\n"
             << "     superacc: " << repro::Superacc::kLimbs << " limbs, "

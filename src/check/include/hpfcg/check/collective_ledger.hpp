@@ -30,6 +30,9 @@ enum class CollectiveKind : std::uint8_t {
   kBarrier,
   kBroadcast,
   kReduce,
+  /// Scalar all-reduce: one record per call, whichever route (float tree or
+  /// repro merge) carries it.
+  kAllreduce,
   kAllreduceVec,
   /// Fused multi-value collectives: `count` is the batch width, so a rank
   /// diverging on how many scalars it fused is named by the ledger.
@@ -49,11 +52,11 @@ enum class CollectiveKind : std::uint8_t {
   kHaloExchange,
   kExscan,
   kSequential,
-  /// Reproducible-mode sum reduction (hpfcg::repro): the exact
-  /// superaccumulator all-reduce that replaces the float merge tree.
-  /// `count` is the batch width, like kAllreduceBatch, so a rank that
-  /// disagrees on whether the mode is on — or on how many values it merged
-  /// — is named by the ledger instead of deadlocking on mismatched trees.
+  /// Exact superaccumulator all-reduce called directly (hpfcg::repro's
+  /// exact dot products).  `count` is the batch width, like
+  /// kAllreduceBatch.  The allreduce family posts its own kind even when
+  /// the reproducible mode routes it through this merge, so the ledger
+  /// names the caller's kind, element size and width.
   kReproReduce,
   /// Not a communication op: asserts a structure every rank builds locally
   /// (e.g. a replicated matrix) is identical machine-wide.  `count` carries

@@ -11,6 +11,7 @@ const char* to_string(CollectiveKind k) {
     case CollectiveKind::kBarrier: return "barrier";
     case CollectiveKind::kBroadcast: return "broadcast";
     case CollectiveKind::kReduce: return "reduce";
+    case CollectiveKind::kAllreduce: return "allreduce";
     case CollectiveKind::kAllreduceVec: return "allreduce_vec";
     case CollectiveKind::kAllreduceBatch: return "allreduce_batch";
     case CollectiveKind::kReduceBatch: return "reduce_batch";

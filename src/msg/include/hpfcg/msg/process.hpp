@@ -225,30 +225,8 @@ class Process {
   /// rank, so no length header travels — one message per tree edge).
   template <class T>
   void broadcast_into(int root, std::span<T> buf) {
-    const int p = nprocs();
     conform(check::CollectiveKind::kBroadcast, root, sizeof(T), buf.size());
-    trace::SpanScope span(trace_, trace::SpanKind::kBroadcast,
-                          static_cast<std::uint32_t>(root), buf.size_bytes(),
-                          tree_depth());
-    const int seq = next_collective();
-    if (p == 1) return;
-    const int vr = rel_rank(root);
-    int mask = 1;
-    while (mask < p) {
-      if (vr & mask) {
-        recv_into<T>(abs_rank(vr - mask, root), coll_tag(seq, 0), buf);
-        break;
-      }
-      mask <<= 1;
-    }
-    mask >>= 1;
-    while (mask > 0) {
-      if (vr + mask < p) {
-        send<T>(abs_rank(vr + mask, root), coll_tag(seq, 0),
-                std::span<const T>(buf.data(), buf.size()));
-      }
-      mask >>= 1;
-    }
+    broadcast_tree<T>(root, buf);
   }
 
   /// Broadcast a single value from `root` and return it everywhere.
@@ -261,61 +239,46 @@ class Process {
   /// Binomial-tree reduction of one value to `root` (valid only there).
   template <class T, class Op = std::plus<T>>
   T reduce(int root, T value, Op op = {}) {
-    const int p = nprocs();
     conform(check::CollectiveKind::kReduce, root, sizeof(T), 1);
-    trace::SpanScope span(trace_, trace::SpanKind::kReduce, 1, sizeof(T),
-                          tree_depth());
-    const int seq = next_collective();
-    note_reduction(1);
-    const int vr = rel_rank(root);
-    int mask = 1;
-    while (mask < p) {
-      if ((vr & mask) == 0) {
-        const int partner = vr | mask;
-        if (partner < p) {
-          const T other = recv_value<T>(abs_rank(partner, root),
-                                        coll_tag(seq, 0));
-          value = op(value, other);
-        }
-      } else {
-        send_value<T>(abs_rank(vr - mask, root), coll_tag(seq, 0), value);
-        break;
-      }
-      mask <<= 1;
-    }
-    return value;
+    return reduce_tree<T, Op>(root, value, op);
   }
 
   /// All-reduce of one value: reduce to rank 0 then broadcast.  With the
   /// reproducible mode on, floating-point sums route through the exact
   /// superaccumulator merge instead (see allreduce_acc), so the result is
   /// the correctly rounded exact sum — identical for every NP and tree.
+  /// Either way the ledger sees one allreduce record with the caller's
+  /// element size, posted before the route is chosen.
   template <class T, class Op = std::plus<T>>
   T allreduce(T value, Op op = {}) {
+    conform(check::CollectiveKind::kAllreduce, check::kNoRoot, sizeof(T), 1);
     if constexpr (std::is_floating_point_v<T> && detail::kIsPlus<T, Op>) {
       if (repro_active()) {
         repro::Superacc acc;
         acc.add(static_cast<double>(value));
-        allreduce_acc(std::span<repro::Superacc>(&acc, 1));
+        merge_acc(std::span<repro::Superacc>(&acc, 1));
         return static_cast<T>(acc.round());
       }
     }
     race_fence("allreduce");
-    value = reduce<T, Op>(0, value, op);
-    return broadcast_value<T>(0, value);
+    value = reduce_tree<T, Op>(0, value, op);
+    broadcast_tree<T>(0, std::span<T>(&value, 1));
+    return value;
   }
 
   /// Element-wise all-reduce of equal-length vectors on every rank.
   /// This is the merge phase of the paper's PRIVATE ... WITH MERGE(+).
   template <class T, class Op = std::plus<T>>
   void allreduce_vec(std::vector<T>& buf, Op op = {}) {
+    conform(check::CollectiveKind::kAllreduceVec, check::kNoRoot, sizeof(T),
+            buf.size());
     if constexpr (std::is_floating_point_v<T> && detail::kIsPlus<T, Op>) {
       if (repro_active()) {
         std::vector<repro::Superacc> accs(buf.size());
         for (std::size_t i = 0; i < buf.size(); ++i) {
           accs[i].add(static_cast<double>(buf[i]));
         }
-        allreduce_acc(std::span<repro::Superacc>(accs));
+        merge_acc(std::span<repro::Superacc>(accs));
         for (std::size_t i = 0; i < buf.size(); ++i) {
           buf[i] = static_cast<T>(accs[i].round());
         }
@@ -323,8 +286,6 @@ class Process {
       }
     }
     const int p = nprocs();
-    conform(check::CollectiveKind::kAllreduceVec, check::kNoRoot, sizeof(T),
-            buf.size());
     race_fence("allreduce_vec");
     trace::SpanScope span(trace_, trace::SpanKind::kAllreduceVec,
                           static_cast<std::uint32_t>(buf.size()),
@@ -386,6 +347,8 @@ class Process {
   /// reduction booked, Stats untouched.
   template <class T, class Op = std::plus<T>>
   void allreduce_batch(std::span<T> vals, Op op = {}) {
+    conform(check::CollectiveKind::kAllreduceBatch, check::kNoRoot, sizeof(T),
+            vals.size());
     if constexpr (std::is_floating_point_v<T> && detail::kIsPlus<T, Op>) {
       if (repro_active()) {
         // Same batched tree, exact payloads: the batch stays bit-identical
@@ -395,7 +358,7 @@ class Process {
         for (std::size_t i = 0; i < vals.size(); ++i) {
           accs.span()[i].add(static_cast<double>(vals[i]));
         }
-        allreduce_acc(accs.span());
+        merge_acc(accs.span());
         for (std::size_t i = 0; i < vals.size(); ++i) {
           vals[i] = static_cast<T>(accs.span()[i].round());
         }
@@ -403,8 +366,6 @@ class Process {
       }
     }
     const int p = nprocs();
-    conform(check::CollectiveKind::kAllreduceBatch, check::kNoRoot, sizeof(T),
-            vals.size());
     if (vals.empty()) return;  // width-0: no messages, no fence semantics
     race_fence("allreduce_batch");
     trace::SpanScope span(trace_, trace::SpanKind::kAllreduceBatch,
@@ -471,62 +432,9 @@ class Process {
   /// limb-merge flops, and bumps the repro_* Stats counters.  k = 0
   /// conforms and then no-ops, like the batch collectives.
   void allreduce_acc(std::span<repro::Superacc> accs) {
-    const int p = nprocs();
     conform(check::CollectiveKind::kReproReduce, check::kNoRoot,
             sizeof(repro::Superacc), accs.size());
-    if (accs.empty()) return;
-    race_fence("allreduce");
-    trace::SpanScope span(trace_, trace::SpanKind::kReproMerge,
-                          static_cast<std::uint32_t>(accs.size()),
-                          accs.size() * sizeof(repro::Superacc), tree_depth());
-    const int seq = next_collective();
-    note_reduction(accs.size());
-    auto& s = stats();
-    ++s.repro_reductions;
-    s.repro_values += accs.size();
-    // Canonical digits on the wire: merge() relies on both sides being
-    // renormalized, and rank 0's broadcast limbs must already be canonical.
-    for (auto& a : accs) a.renormalize();
-    if (p == 1) return;
-    const std::size_t k = accs.size();
-    // Reduce to rank 0 (phase 0) ...
-    int mask = 1;
-    while (mask < p) {
-      if ((rank_ & mask) == 0) {
-        const int partner = rank_ | mask;
-        if (partner < p) {
-          const std::span<repro::Superacc> other =
-              coll_scratch<repro::Superacc>(k);
-          recv_into<repro::Superacc>(partner, coll_tag(seq, 0), other);
-          for (std::size_t i = 0; i < k; ++i) accs[i].merge(other[i]);
-          add_flops(k * repro::Superacc::kMergeFlops);
-        }
-      } else {
-        send<repro::Superacc>(
-            rank_ - mask, coll_tag(seq, 0),
-            std::span<const repro::Superacc>(accs.data(), k));
-        break;
-      }
-      mask <<= 1;
-    }
-    // ... then broadcast the merged accumulators down the tree (phase 1).
-    int mask2 = 1;
-    while (mask2 < p) {
-      if (rank_ & mask2) {
-        recv_into<repro::Superacc>(rank_ - mask2, coll_tag(seq, 1), accs);
-        break;
-      }
-      mask2 <<= 1;
-    }
-    mask2 >>= 1;
-    while (mask2 > 0) {
-      if (rank_ + mask2 < p) {
-        send<repro::Superacc>(
-            rank_ + mask2, coll_tag(seq, 1),
-            std::span<const repro::Superacc>(accs.data(), k));
-      }
-      mask2 >>= 1;
-    }
+    merge_acc(accs);
   }
 
   /// Allocations taken by the reusable vector-collective receive scratch
@@ -931,6 +839,120 @@ class Process {
   }
 
  private:
+  // Tree bodies of broadcast_into and reduce, without the ledger post, so
+  // allreduce can post one record of its own.
+  template <class T>
+  void broadcast_tree(int root, std::span<T> buf) {
+    const int p = nprocs();
+    trace::SpanScope span(trace_, trace::SpanKind::kBroadcast,
+                          static_cast<std::uint32_t>(root), buf.size_bytes(),
+                          tree_depth());
+    const int seq = next_collective();
+    if (p == 1) return;
+    const int vr = rel_rank(root);
+    int mask = 1;
+    while (mask < p) {
+      if (vr & mask) {
+        recv_into<T>(abs_rank(vr - mask, root), coll_tag(seq, 0), buf);
+        break;
+      }
+      mask <<= 1;
+    }
+    mask >>= 1;
+    while (mask > 0) {
+      if (vr + mask < p) {
+        send<T>(abs_rank(vr + mask, root), coll_tag(seq, 0),
+                std::span<const T>(buf.data(), buf.size()));
+      }
+      mask >>= 1;
+    }
+  }
+
+  template <class T, class Op>
+  T reduce_tree(int root, T value, Op op) {
+    const int p = nprocs();
+    trace::SpanScope span(trace_, trace::SpanKind::kReduce, 1, sizeof(T),
+                          tree_depth());
+    const int seq = next_collective();
+    note_reduction(1);
+    const int vr = rel_rank(root);
+    int mask = 1;
+    while (mask < p) {
+      if ((vr & mask) == 0) {
+        const int partner = vr | mask;
+        if (partner < p) {
+          const T other = recv_value<T>(abs_rank(partner, root),
+                                        coll_tag(seq, 0));
+          value = op(value, other);
+        }
+      } else {
+        send_value<T>(abs_rank(vr - mask, root), coll_tag(seq, 0), value);
+        break;
+      }
+      mask <<= 1;
+    }
+    return value;
+  }
+
+  /// allreduce_acc without the ledger post: the repro route of allreduce,
+  /// allreduce_vec and allreduce_batch, which post the caller's record.
+  void merge_acc(std::span<repro::Superacc> accs) {
+    const int p = nprocs();
+    if (accs.empty()) return;
+    race_fence("allreduce");
+    trace::SpanScope span(trace_, trace::SpanKind::kReproMerge,
+                          static_cast<std::uint32_t>(accs.size()),
+                          accs.size() * sizeof(repro::Superacc), tree_depth());
+    const int seq = next_collective();
+    note_reduction(accs.size());
+    auto& s = stats();
+    ++s.repro_reductions;
+    s.repro_values += accs.size();
+    // Canonical digits on the wire: merge() relies on both sides being
+    // renormalized, and rank 0's broadcast limbs must already be canonical.
+    for (auto& a : accs) a.renormalize();
+    if (p == 1) return;
+    const std::size_t k = accs.size();
+    // Reduce to rank 0 (phase 0) ...
+    int mask = 1;
+    while (mask < p) {
+      if ((rank_ & mask) == 0) {
+        const int partner = rank_ | mask;
+        if (partner < p) {
+          const std::span<repro::Superacc> other =
+              coll_scratch<repro::Superacc>(k);
+          recv_into<repro::Superacc>(partner, coll_tag(seq, 0), other);
+          for (std::size_t i = 0; i < k; ++i) accs[i].merge(other[i]);
+          add_flops(k * repro::Superacc::kMergeFlops);
+        }
+      } else {
+        send<repro::Superacc>(
+            rank_ - mask, coll_tag(seq, 0),
+            std::span<const repro::Superacc>(accs.data(), k));
+        break;
+      }
+      mask <<= 1;
+    }
+    // ... then broadcast the merged accumulators down the tree (phase 1).
+    int mask2 = 1;
+    while (mask2 < p) {
+      if (rank_ & mask2) {
+        recv_into<repro::Superacc>(rank_ - mask2, coll_tag(seq, 1), accs);
+        break;
+      }
+      mask2 <<= 1;
+    }
+    mask2 >>= 1;
+    while (mask2 > 0) {
+      if (rank_ + mask2 < p) {
+        send<repro::Superacc>(
+            rank_ + mask2, coll_tag(seq, 1),
+            std::span<const repro::Superacc>(accs.data(), k));
+      }
+      mask2 >>= 1;
+    }
+  }
+
   /// Scratch for a partner's batch in the fused reductions: stack storage
   /// for the batch widths solvers actually use, heap only beyond that.
   template <class T>

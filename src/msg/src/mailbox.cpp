@@ -2,6 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <thread>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 #include "hpfcg/race/detector.hpp"
 #include "hpfcg/util/error.hpp"
@@ -12,7 +20,30 @@ namespace {
 std::atomic<bool> g_pooling{true};
 std::atomic<bool> g_inline{true};
 std::atomic<std::size_t> g_max_pooled{64};
+
+/// Tell the core this is a spin-wait loop (saves power, and on SMT lets
+/// the sibling thread run).
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  _mm_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#endif
+}
 }  // namespace
+
+int usable_cpus() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    const int n = CPU_COUNT(&set);
+    if (n > 0) return n;
+  }
+#endif
+  const unsigned hc = std::thread::hardware_concurrency();
+  return hc > 0 ? static_cast<int>(hc) : 1;
+}
 
 void set_buffer_pooling(bool on) {
   g_pooling.store(on, std::memory_order_relaxed);
@@ -60,8 +91,15 @@ std::vector<std::byte> Envelope::release_heap() {
 
 // ---- Mailbox ------------------------------------------------------------
 
-Mailbox::Mailbox(int nprocs)
-    : shards_(static_cast<std::size_t>(nprocs > 0 ? nprocs : 1)) {}
+Mailbox::Mailbox(int nprocs, int cpus)
+    : spins_(spin_before_park(nprocs, cpus)),
+      shards_(static_cast<std::size_t>(nprocs > 0 ? nprocs : 1)) {}
+
+void Mailbox::publish_locked() {
+  // Only writers hold mu_, so load + store is an atomic increment.
+  deposits_.store(deposits_.load(std::memory_order_relaxed) + 1,
+                  std::memory_order_release);
+}
 
 Envelope Mailbox::make_envelope(int src, int tag, std::size_t bytes) {
   Envelope env;
@@ -97,14 +135,19 @@ Envelope Mailbox::make_envelope(int src, int tag, std::size_t bytes) {
 }
 
 void Mailbox::deposit(Envelope env) {
+  bool wake = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto shard = static_cast<std::size_t>(env.src);
     HPFCG_REQUIRE(shard < shards_.size(), "deposit: bad source rank");
     env.seq = next_seq_++;
     shards_[shard].push_back(std::move(env));
+    publish_locked();
+    // A receiver counts itself parked under mu_ before it waits, so it
+    // either sees this message in its predicate or is woken here.
+    wake = parked_ > 0;
   }
-  cv_.notify_all();
+  if (wake) cv_.notify_all();
 }
 
 bool Mailbox::match_locked(int src, int tag, Envelope& out) {
@@ -171,10 +214,41 @@ Envelope Mailbox::receive(int src, int tag) {
   std::unique_lock<std::mutex> lock(mu_);
   Envelope out;
   bool matched = false;
-  cv_.wait(lock, [&] {
+  const auto done = [&] {
     matched = match_locked(src, tag, out);
     return matched || aborted_;
-  });
+  };
+  if (!done() && spins_) {
+    // Spin: re-match only when a deposit (or abort) has moved the counter
+    // since the last look, so the lock is taken once per arrival.
+    std::uint64_t seen = deposits_.load(std::memory_order_relaxed);
+    lock.unlock();
+    for (int i = 1; i <= kSpinTries; ++i) {
+      if (i % kYieldEvery == 0) {
+        std::this_thread::yield();
+      } else {
+        cpu_relax();
+      }
+      if (deposits_.load(std::memory_order_acquire) == seen) continue;
+      lock.lock();
+      if (done()) break;
+      seen = deposits_.load(std::memory_order_relaxed);
+      lock.unlock();
+    }
+    if (!lock.owns_lock()) lock.lock();
+  }
+  if (!matched && !aborted_) {
+    // Park exactly as without the spin.  A throwing match (the race
+    // detector's) must not leave the waiter count raised.
+    ++parked_;
+    try {
+      cv_.wait(lock, done);
+    } catch (...) {
+      --parked_;
+      throw;
+    }
+    --parked_;
+  }
   if (!matched) {
     throw util::Error("msg runtime aborted while receiving");
   }
@@ -200,6 +274,11 @@ std::size_t Mailbox::pending() const {
   std::size_t n = 0;
   for (const auto& q : shards_) n += q.size();
   return n;
+}
+
+int Mailbox::parked() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return parked_;
 }
 
 std::size_t Mailbox::pooled_buffers() const {
@@ -253,6 +332,7 @@ void Mailbox::abort() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     aborted_ = true;
+    publish_locked();  // a spinning receive re-checks and sees the abort
   }
   cv_.notify_all();
 }

@@ -36,6 +36,11 @@ class Table {
 /// Format a double with `prec` significant digits (benchmark table cells).
 std::string fmt(double v, int prec = 4);
 
+/// Format a double in fixed notation with `decimals` digits after the
+/// point: fmt_fixed(23456.7) is "23457", where fmt(23456.7, 0) would print
+/// one significant digit, "2e+04".  For wall-clock columns.
+std::string fmt_fixed(double v, int decimals = 0);
+
 /// Format an integral count with thousands separators ("1,234,567").
 std::string fmt_count(unsigned long long v);
 

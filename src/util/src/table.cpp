@@ -56,6 +56,12 @@ std::string fmt(double v, int prec) {
   return os.str();
 }
 
+std::string fmt_fixed(double v, int decimals) {
+  std::ostringstream os;
+  os << std::fixed << std::setprecision(decimals) << v;
+  return os.str();
+}
+
 std::string fmt_count(unsigned long long v) {
   std::string digits = std::to_string(v);
   std::string out;

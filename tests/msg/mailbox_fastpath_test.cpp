@@ -6,11 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <future>
 #include <set>
+#include <thread>
 #include <vector>
 
+#include "hpfcg/check/check.hpp"
 #include "hpfcg/msg/mailbox.hpp"
 #include "hpfcg/msg/process.hpp"
 #include "spmd_test_util.hpp"
@@ -250,6 +254,10 @@ TEST_P(MailboxSpmdTest, PoolSizeOneStressKeepsFifoAndCountsEnvelopePaths) {
   // the Stats envelope-path counters must show the heap fallback firing.
   const int np = GetParam();
   if (np == 1) GTEST_SKIP() << "needs at least one sender";
+  // The any-source drain races the senders on purpose; with checking on
+  // the teardown audit would reject it (PointToPoint's
+  // CheckedAnySourceRaceIsNamedAtTeardown covers that verdict).
+  hpfcg::check::ScopedEnable no_check(false);
   ToggleGuard guard;
   hpfcg::msg::set_buffer_pooling(true);
   hpfcg::msg::set_inline_payloads(true);
@@ -306,6 +314,7 @@ TEST_P(MailboxSpmdTest, AnySourceReceivesEveryRankOnceUnderToggles) {
   // must see every sender exactly once with the right payload.
   const int np = GetParam();
   if (np == 1) GTEST_SKIP() << "needs at least one sender";
+  hpfcg::check::ScopedEnable no_check(false);  // deliberate any-source race
   ToggleGuard guard;
   for (const bool pooling : {true, false}) {
     for (const bool inlined : {true, false}) {
@@ -338,5 +347,89 @@ TEST_P(MailboxSpmdTest, AnySourceReceivesEveryRankOnceUnderToggles) {
 
 INSTANTIATE_TEST_SUITE_P(MachineSizes, MailboxSpmdTest,
                          ::testing::ValuesIn(test_machine_sizes()));
+
+// ---- waiting: spin, then park -------------------------------------------
+
+TEST(MailboxWaitTest, SpinOrParkIsAPureFunctionOfRanksAndCpus) {
+  using hpfcg::msg::spin_before_park;
+  static_assert(spin_before_park(4, 4));
+  static_assert(!spin_before_park(8, 4));
+  // Spin exactly when every rank can have a core of its own.
+  EXPECT_TRUE(spin_before_park(2, 2));
+  EXPECT_TRUE(spin_before_park(2, 64));
+  EXPECT_TRUE(spin_before_park(16, 16));
+  EXPECT_FALSE(spin_before_park(5, 4));
+  EXPECT_FALSE(spin_before_park(16, 4));
+  EXPECT_FALSE(spin_before_park(2, 1));
+  EXPECT_FALSE(spin_before_park(1, 4));  // a lone rank has no peer
+  EXPECT_FALSE(spin_before_park(0, 4));
+  // A mailbox fixes the decision at construction (no thread started).
+  EXPECT_TRUE(Mailbox(4, 4).spins());
+  EXPECT_FALSE(Mailbox(8, 4).spins());
+  EXPECT_EQ(Mailbox(3).spins(),
+            spin_before_park(3, hpfcg::msg::usable_cpus()));
+  EXPECT_GE(hpfcg::msg::usable_cpus(), 1);
+}
+
+/// Wait (up to 10 s) until `mb` has a parked receiver.
+bool await_parked(const Mailbox& mb) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (mb.parked() == 0) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(MailboxWaitTest, MessageAfterTheSpinBudgetWakesTheParkedReceiver) {
+  // The sender sleeps well past the spin budget, so the receiver has
+  // parked: the waiter count must make deposit notify it.  Runs for a
+  // spinning mailbox (cpus = 2) and one that parks at once (cpus = 1),
+  // whatever the core count of the host.
+  for (const int cpus : {2, 1}) {
+    Mailbox mb(2, cpus);
+    EXPECT_EQ(mb.spins(), cpus == 2);
+    auto got = std::async(std::launch::async, [&mb] {
+      Envelope env = mb.receive(1, 5);
+      const std::uint8_t m = marker_of(env);
+      mb.recycle(std::move(env));
+      return m;
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    // EXPECT, not ASSERT: the post below must still release the receiver.
+    EXPECT_TRUE(await_parked(mb)) << "receiver never parked, cpus=" << cpus;
+    post(mb, 1, 5, 42);
+    ASSERT_EQ(got.wait_for(std::chrono::seconds(10)),
+              std::future_status::ready)
+        << "parked receiver was not woken, cpus=" << cpus;
+    EXPECT_EQ(got.get(), 42);
+    EXPECT_EQ(mb.parked(), 0);
+    EXPECT_EQ(mb.pending(), 0u);
+  }
+}
+
+TEST(MailboxWaitTest, MessagesDuringTheSpinAreMatchedInOrder) {
+  // A receiver that keeps finding its next message within the spin must
+  // still see per-source FIFO and skip traffic for other tags.
+  Mailbox mb(2, 2);
+  constexpr int kCount = 200;
+  auto sum = std::async(std::launch::async, [&mb] {
+    int bad = 0;
+    for (int i = 0; i < kCount; ++i) {
+      Envelope env = mb.receive(1, 7);
+      if (marker_of(env) != static_cast<std::uint8_t>(i)) ++bad;
+      mb.recycle(std::move(env));
+    }
+    return bad;
+  });
+  for (int i = 0; i < kCount; ++i) {
+    post(mb, 1, 8, 0);  // other tag: must not be matched
+    post(mb, 1, 7, static_cast<std::uint8_t>(i));
+  }
+  ASSERT_EQ(sum.wait_for(std::chrono::seconds(20)), std::future_status::ready);
+  EXPECT_EQ(sum.get(), 0);
+  EXPECT_EQ(mb.pending(), static_cast<std::size_t>(kCount));  // the tag-8s
+}
 
 }  // namespace

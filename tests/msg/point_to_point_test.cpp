@@ -4,15 +4,37 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "hpfcg/check/check.hpp"
 #include "hpfcg/msg/process.hpp"
+#include "hpfcg/msg/runtime.hpp"
+#include "hpfcg/race/race.hpp"
 #include "spmd_test_util.hpp"
 
 using hpfcg::msg::Process;
 using hpfcg_test::run_spmd;
 
 namespace {
+
+/// Ranks 1..3 each send one value to rank 0, which drains them with
+/// any-source receives: a deliberate wildcard race between the senders.
+void any_source_drain(Process& p) {
+  if (p.rank() == 0) {
+    bool seen[4] = {true, false, false, false};
+    for (int k = 0; k < 3; ++k) {
+      int src = -1;
+      const auto v = p.recv_any<int>(5, src);
+      ASSERT_EQ(v.size(), 1u);
+      EXPECT_EQ(v[0], src * 11);
+      seen[src] = true;
+    }
+    EXPECT_TRUE(seen[1] && seen[2] && seen[3]);
+  } else {
+    p.send_value<int>(0, 5, p.rank() * 11);
+  }
+}
 
 TEST(PointToPoint, ScalarRoundTrip) {
   run_spmd(2, [](Process& p) {
@@ -71,21 +93,31 @@ TEST(PointToPoint, TagsSelectMessagesOutOfOrder) {
 }
 
 TEST(PointToPoint, AnySourceReportsSender) {
-  run_spmd(4, [](Process& p) {
-    if (p.rank() == 0) {
-      bool seen[4] = {true, false, false, false};
-      for (int k = 0; k < 3; ++k) {
-        int src = -1;
-        const auto v = p.recv_any<int>(5, src);
-        ASSERT_EQ(v.size(), 1u);
-        EXPECT_EQ(v[0], src * 11);
-        seen[src] = true;
-      }
-      EXPECT_TRUE(seen[1] && seen[2] && seen[3]);
-    } else {
-      p.send_value<int>(0, 5, p.rank() * 11);
-    }
-  });
+  // The race is deliberate; with checking on the teardown audit would
+  // reject it (see CheckedAnySourceRaceIsNamedAtTeardown).
+  hpfcg::check::ScopedEnable no_check(false);
+  run_spmd(4, any_source_drain);
+}
+
+TEST(PointToPoint, CheckedAnySourceRaceIsNamedAtTeardown) {
+  // The other side of the pin above: with checking and race detection on,
+  // the teardown audit rejects the same workload and names the race.
+  if (!hpfcg::check::kCompiled || !hpfcg::race::kCompiled) {
+    GTEST_SKIP() << "check or race compiled out";
+  }
+  hpfcg::race::ScopedEnable race_on;
+  hpfcg::check::ScopedEnable check_on;
+  hpfcg::msg::Runtime rt(4);
+  std::string message;
+  try {
+    rt.run(any_source_drain);
+    ADD_FAILURE() << "expected the teardown audit to reject the race";
+  } catch (const hpfcg::util::Error& e) {
+    message = e.what();
+  }
+  EXPECT_NE(message.find("teardown audit failed"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("wildcard"), std::string::npos) << message;
 }
 
 TEST(PointToPoint, SelfSendIsAllowed) {

@@ -4,17 +4,23 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "hpfcg/check/check.hpp"
 #include "hpfcg/hpf/dist_vector.hpp"
 #include "hpfcg/hpf/intrinsics.hpp"
+#include "hpfcg/msg/mailbox.hpp"
 #include "hpfcg/msg/process.hpp"
 #include "spmd_test_util.hpp"
 
 using hpfcg::hpf::Distribution;
 using hpfcg::hpf::DistributedVector;
+using hpfcg::msg::Mailbox;
 using hpfcg::msg::Process;
 using hpfcg::msg::Runtime;
 using hpfcg::util::Error;
@@ -135,6 +141,79 @@ TEST(Robustness, ZeroLengthVectorsWork) {
     ASSERT_EQ(full.size(), 3u);
     EXPECT_DOUBLE_EQ(full[2], 3.0);
   });
+}
+
+/// Start a receive on `mb` that nothing will ever match; the future holds
+/// how long it took to end and whether it threw util::Error.
+struct StuckReceive {
+  Mailbox& mb;
+  std::atomic<bool> started{false};
+  std::chrono::steady_clock::time_point ended;
+  std::future<bool> threw;
+
+  explicit StuckReceive(Mailbox& box) : mb(box) {
+    threw = std::async(std::launch::async, [this] {
+      started.store(true);
+      try {
+        (void)mb.receive(1, 3);
+      } catch (const Error&) {
+        ended = std::chrono::steady_clock::now();
+        return true;
+      }
+      return false;
+    });
+    while (!started.load()) std::this_thread::yield();
+  }
+  // A failed assertion must not leave the future's destructor waiting on
+  // a receive nothing will end.
+  ~StuckReceive() { mb.abort(); }
+
+  /// Milliseconds from `since` until the receive ended by throwing; fails
+  /// the test (and returns -1) if it has not ended within 10 s.
+  double ms_after(std::chrono::steady_clock::time_point since) {
+    if (threw.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+      ADD_FAILURE() << "abort did not end the receive within 10 s";
+      return -1;
+    }
+    EXPECT_TRUE(threw.get()) << "receive ended without the abort error";
+    return std::chrono::duration<double, std::milli>(ended - since).count();
+  }
+};
+
+TEST(Robustness, AbortEndsASpinningReceive) {
+  // A mailbox of 2 ranks on 2 CPUs spins before it parks.  Abort right
+  // after the receive starts, inside its spin budget: abort moves the
+  // deposit counter, so the spinner sees it without waiting to park.
+  Mailbox mb(2, 2);
+  ASSERT_TRUE(mb.spins());
+  StuckReceive rx(mb);
+  const auto t0 = std::chrono::steady_clock::now();
+  mb.abort();
+  const double ms = rx.ms_after(t0);
+  EXPECT_GE(ms, 0.0);
+  EXPECT_LT(ms, 2000.0);
+  EXPECT_EQ(mb.parked(), 0);
+}
+
+TEST(Robustness, AbortEndsAParkedReceive) {
+  // Past the spin budget (and at once on a mailbox that never spins), the
+  // receiver is parked on the condition variable: abort must notify it.
+  for (const int cpus : {2, 1}) {
+    Mailbox mb(2, cpus);
+    StuckReceive rx(mb);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (mb.parked() == 0 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(mb.parked(), 1) << "receiver never parked, cpus=" << cpus;
+    const auto t0 = std::chrono::steady_clock::now();
+    mb.abort();
+    const double ms = rx.ms_after(t0);
+    EXPECT_GE(ms, 0.0) << "cpus=" << cpus;
+    EXPECT_LT(ms, 2000.0) << "cpus=" << cpus;
+    EXPECT_EQ(mb.parked(), 0);
+  }
 }
 
 TEST(Robustness, EmptyMachineRejected) {

@@ -97,6 +97,8 @@ TEST(Table, AlignedOutput) {
 
 TEST(Table, Formatters) {
   EXPECT_EQ(u::fmt(3.14159, 3), "3.14");
+  EXPECT_EQ(u::fmt_fixed(23456.7), "23457");  // fmt(.., 0) gives "2e+04"
+  EXPECT_EQ(u::fmt_fixed(3.14159, 2), "3.14");
   EXPECT_EQ(u::fmt_count(1234567), "1,234,567");
   EXPECT_EQ(u::fmt_count(5), "5");
   EXPECT_EQ(u::fmt_count(0), "0");
