@@ -225,15 +225,14 @@ int main() {
                "closed forms on every topology; the ring pays (NP-1)\n"
                "start-ups for the allgather where the hypercube pays logNP\n"
                "— exactly the distinction the paper's Section 4 draws.\n"
-            << "A3b: one mailbox hop costs "
-            << hpfcg::util::fmt(q.hop_us, 2)
-            << " us (NP=2 ping-pong) and a scalar allreduce at NP=4 costs "
+            << "A3b: one mailbox hop costs " << hpfcg::util::fmt(q.hop_us, 2)
+            << " us (NP=2 ping-pong) and a scalar\nallreduce at NP=4 costs "
             << hpfcg::util::fmt(q.allreduce_np4_us, 2) << " us, "
             << hpfcg::util::fmt(q.hop_us > 0.0 ? q.allreduce_np4_us / q.hop_us
                                                : 0.0,
                                 2)
-            << " hops' worth; its reduce + broadcast tree runs\n"
-               "2*log2(4) = 4 hops in sequence — the paper's t_startup*logNP\n"
-               "merge, paid here in host wake-up latency.\n";
+            << " hops' worth; its reduce +\nbroadcast tree runs "
+               "2*log2(4) = 4 hops in sequence — the\npaper's "
+               "t_startup*logNP merge, paid here in host wake-up latency.\n";
   return 0;
 }
